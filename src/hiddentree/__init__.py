@@ -22,7 +22,6 @@ from .graph import (
     DirectedGraph,
     UndirectedGraph,
     giant_component,
-    in_degree_sequence,
     read_edge_list,
     undirected_projection,
     write_edge_list,
@@ -82,7 +81,6 @@ __all__ = [
     "generate_er",
     "generate_with_trace",
     "giant_component",
-    "in_degree_sequence",
     "lca",
     "path_between",
     "read_edge_list",

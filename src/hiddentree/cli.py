@@ -39,6 +39,7 @@ from .metrics import (
     compute_report,
     degree_ccdf,
     fit_power_law_mle,
+    format_field,
     format_report,
     report_to_dict,
     write_ccdf,
@@ -341,14 +342,6 @@ def _format_value(value) -> str:
     return format(value, "g")
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return "NA"
-    if isinstance(value, float):
-        return format(value, ".10g")
-    return str(value)
-
-
 def _cmd_generate(args: argparse.Namespace) -> int:
     _require(args, "nodes", "branching", "activity", "out")
     params = _build_model_params(
@@ -502,12 +495,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 [
                     _format_value(row["value"]),
                     str(row["replicate"]),
-                    _format_cell(report["gamma"]),
-                    _format_cell(report["r_squared"]),
-                    _format_cell(report["avg_clustering"]),
-                    _format_cell(report["avg_shortest_path"]),
+                    format_field(report["gamma"]),
+                    format_field(report["r_squared"]),
+                    format_field(report["avg_clustering"]),
+                    format_field(report["avg_shortest_path"]),
                     str(report["max_in_degree"]),
-                    _format_cell(report["giant_component_fraction"]),
+                    format_field(report["giant_component_fraction"]),
                 ]
             )
         )

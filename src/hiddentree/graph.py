@@ -16,7 +16,6 @@ from .errors import EdgeListFormatError, ParameterError
 __all__ = [
     "DirectedGraph",
     "UndirectedGraph",
-    "in_degree_sequence",
     "undirected_projection",
     "giant_component",
     "write_edge_list",
@@ -115,11 +114,6 @@ class UndirectedGraph:
                     yield u, v
 
 
-def in_degree_sequence(g: DirectedGraph) -> list[int]:
-    """Per-node in-degree, indexed by node id."""
-    return list(g.in_degree)
-
-
 def undirected_projection(g: DirectedGraph) -> UndirectedGraph:
     """Collapse edge directions: {i, j} present iff i->j or j->i is."""
     return UndirectedGraph(g.node_count, g.edges())
@@ -171,22 +165,28 @@ def write_edge_list(g: DirectedGraph, stream: TextIO) -> None:
 def read_edge_list(stream: TextIO) -> DirectedGraph:
     """Parse a file written by :func:`write_edge_list`.
 
-    Raises :class:`EdgeListFormatError` naming the offending line.
+    Raises :class:`EdgeListFormatError` naming the offending line: the
+    header for a malformed header or a wrong edge count, otherwise the
+    edge line that is malformed, out of range, a self-loop or a repeat.
     """
     header = stream.readline()
     if not header.startswith("# nodes="):
         raise EdgeListFormatError(1, "expected header '# nodes=<N> edges=<E>'")
     try:
-        fields = header[2:].split()
-        node_count = int(fields[0].split("=", 1)[1])
-        edge_count = int(fields[1].split("=", 1)[1])
-    except (IndexError, ValueError):
+        nodes_field, edges_field = header[2:].split()
+        if not edges_field.startswith("edges="):
+            raise ValueError(edges_field)
+        node_count = int(nodes_field[len("nodes="):])
+        edge_count = int(edges_field[len("edges="):])
+    except ValueError:
         raise EdgeListFormatError(1, "malformed header") from None
 
     edges = []
+    blank_lines = []
     for line_no, line in enumerate(stream, start=2):
         line = line.strip()
         if not line:
+            blank_lines.append(line_no)
             continue
         src_s, sep, dst_s = line.partition(",")
         if not sep:
@@ -200,7 +200,34 @@ def read_edge_list(stream: TextIO) -> DirectedGraph:
         raise EdgeListFormatError(
             1, f"header says {edge_count} edges, file has {len(edges)}"
         )
+    # Edges are validated in bulk by the graph build; only a failure pays
+    # for finding the line.
     try:
-        return DirectedGraph(node_count, edges)
+        graph = DirectedGraph(node_count, edges)
     except ParameterError as exc:
-        raise EdgeListFormatError(1, str(exc)) from None
+        line_no = 1  # the header's node count itself is invalid
+        for i, (src, dst) in enumerate(edges):
+            if src == dst or not (0 <= src < node_count and 0 <= dst < node_count):
+                line_no = _edge_line(i, blank_lines)
+                break
+        raise EdgeListFormatError(line_no, str(exc)) from None
+    if graph.edge_count != len(edges):
+        first_index = {}
+        for i, edge in enumerate(edges):
+            first = first_index.setdefault(edge, i)
+            if first != i:
+                raise EdgeListFormatError(
+                    _edge_line(i, blank_lines),
+                    f"duplicate edge {edge}, first on line {_edge_line(first, blank_lines)}",
+                )
+    return graph
+
+
+def _edge_line(index: int, blank_lines: list[int]) -> int:
+    """File line of the index-th edge, given the ascending skipped blank lines."""
+    line_no = index + 2
+    for blank in blank_lines:
+        if blank > line_no:
+            break
+        line_no += 1
+    return line_no

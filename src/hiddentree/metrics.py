@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -35,6 +35,7 @@ __all__ = [
     "compute_report",
     "write_ccdf",
     "report_to_dict",
+    "format_field",
     "format_report",
 ]
 
@@ -178,42 +179,90 @@ def fit_power_law_mle(degrees: list[int], k_min: int) -> float:
 
 
 def avg_clustering(g: UndirectedGraph) -> float:
-    """Mean local clustering over all nodes; degree-<2 nodes contribute 0."""
+    """Mean local clustering over all nodes; degree-<2 nodes contribute 0.
+
+    Triangles are counted once each by degree-ordered forward intersection
+    (Latapy 2008): every edge is oriented from the lower to the higher
+    (degree, id) rank, and a triangle is found exactly once, at the
+    intersection of its lowest corner's forward set with its middle
+    corner's. Each find credits all three corners. The work is
+    O(m * sqrt(m)) instead of the O(sum d^2) of checking every neighbour
+    pair, and each per-node count equals that pair count exactly.
+    """
     n = g.node_count
-    neighbor_sets = [set(nbrs) for nbrs in g.neighbors]
+    neighbors = g.neighbors
+    degree = [len(nbrs) for nbrs in neighbors]
+    rank = [0] * n
+    for r, u in enumerate(sorted(range(n), key=degree.__getitem__)):
+        rank[u] = r
+    forward = [
+        {v for v in nbrs if rank[v] > rank[u]} for u, nbrs in enumerate(neighbors)
+    ]
+    triangles = [0] * n
+    for u in range(n):
+        fwd_u = forward[u]
+        if len(fwd_u) < 2:
+            continue
+        for v in fwd_u:
+            common = fwd_u & forward[v]
+            if common:
+                found = len(common)
+                triangles[u] += found
+                triangles[v] += found
+                for w in common:
+                    triangles[w] += 1
     total = 0.0
     for i in range(n):
-        nbrs = g.neighbors[i]
-        d = len(nbrs)
+        d = degree[i]
         if d < 2:
             continue
-        links = 0
-        for a_idx in range(d):
-            set_a = neighbor_sets[nbrs[a_idx]]
-            for b_idx in range(a_idx + 1, d):
-                if nbrs[b_idx] in set_a:
-                    links += 1
-        total += 2.0 * links / (d * (d - 1))
+        total += 2.0 * triangles[i] / (d * (d - 1))
     return total / n
 
 
-def _bfs_distance_sum(g: UndirectedGraph, source: int) -> tuple[int, int]:
-    """Sum of BFS distances from source and the number of nodes reached."""
-    dist = [-1] * g.node_count
-    dist[source] = 0
-    queue = deque([source])
+# Sources per bit-parallel BFS pass: bounds the per-node bitsets to
+# 256 bits however many sources are requested.
+_BFS_CHUNK = 256
+
+
+def _distance_sum(g: UndirectedGraph, sources: list[int]) -> int:
+    """Sum of BFS distances from every source to every node.
+
+    One level-synchronous BFS serves all sources at once (Then et al.
+    2014): bit i of ``seen[v]`` says ``sources[i]`` has reached v, and a
+    level adds its depth once per newly set bit. Raises
+    :class:`ConnectivityError` if some source does not reach every node.
+    """
+    n = g.node_count
+    neighbors = g.neighbors
+    seen = [0] * n
+    frontier = {}
+    for i, src in enumerate(sources):
+        seen[src] = frontier[src] = 1 << i
     total = 0
-    reached = 1
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for v in g.neighbors[u]:
-            if dist[v] == -1:
-                dist[v] = du + 1
-                total += du + 1
-                reached += 1
-                queue.append(v)
-    return total, reached
+    reached = len(sources)
+    level = 0
+    while frontier:
+        level += 1
+        found = {}
+        for u, bits in frontier.items():
+            for v in neighbors[u]:
+                new = bits & ~seen[v]
+                if new:
+                    seen[v] |= new
+                    found[v] = found.get(v, 0) | new
+        count = sum(bits.bit_count() for bits in found.values())
+        total += level * count
+        reached += count
+        frontier = found
+    if reached != len(sources) * n:
+        # A disconnected graph strands every source, so the first source
+        # of the chunk is the first to fail in ascending order.
+        hits = sum(bits & 1 for bits in seen)
+        raise ConnectivityError(
+            f"graph is disconnected: BFS from {sources[0]} reached {hits} of {n} nodes"
+        )
+    return total
 
 
 def avg_shortest_path(
@@ -225,6 +274,7 @@ def avg_shortest_path(
 
     Exact with ``sample_sources=ALL``; otherwise averaged over BFS trees
     from that many uniformly drawn sources (seeded, deterministic).
+    Sources are traversed together, in ascending chunks of 256.
     """
     n = g.node_count
     if n < 2:
@@ -241,13 +291,8 @@ def avg_shortest_path(
             sources = sorted(random.Random(seed).sample(range(n), sample_sources))
 
     total = 0
-    for src in sources:
-        dist_sum, reached = _bfs_distance_sum(g, src)
-        if reached != n:
-            raise ConnectivityError(
-                f"graph is disconnected: BFS from {src} reached {reached} of {n} nodes"
-            )
-        total += dist_sum
+    for start in range(0, len(sources), _BFS_CHUNK):
+        total += _distance_sum(g, sources[start:start + _BFS_CHUNK])
     return total / (len(sources) * (n - 1))
 
 
@@ -307,15 +352,16 @@ def report_to_dict(report: MetricsReport) -> dict:
     return d
 
 
+def format_field(value) -> str:
+    """Report rendering of one value: None as NA, floats to 10 significant digits."""
+    if value is None:
+        return "NA"
+    if isinstance(value, float):
+        return format(value, ".10g")
+    return str(value)
+
+
 def format_report(values: dict) -> str:
-    """One `key = value` line per entry; None renders as NA."""
-    lines = []
-    for key, value in values.items():
-        if value is None:
-            rendered = "NA"
-        elif isinstance(value, float):
-            rendered = format(value, ".10g")
-        else:
-            rendered = str(value)
-        lines.append(f"{key} = {rendered}")
+    """One `key = value` line per entry, each value as :func:`format_field` renders it."""
+    lines = [f"{key} = {format_field(value)}" for key, value in values.items()]
     return "\n".join(lines) + "\n"

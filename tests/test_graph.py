@@ -14,7 +14,6 @@ from hiddentree import (
     UndirectedGraph,
     generate,
     giant_component,
-    in_degree_sequence,
     read_edge_list,
     undirected_projection,
     write_edge_list,
@@ -49,8 +48,8 @@ def random_directed_graph(rng, n):
 
 
 def test_in_degree_examples():
-    assert in_degree_sequence(DirectedGraph(3)) == [0, 0, 0]
-    assert in_degree_sequence(DirectedGraph(3, [(2, 1), (2, 0)])) == [1, 1, 0]
+    assert DirectedGraph(3).in_degree == [0, 0, 0]
+    assert DirectedGraph(3, [(2, 1), (2, 0)]).in_degree == [1, 1, 0]
 
 
 def test_degree_conservation_on_generated_graph():
@@ -174,6 +173,45 @@ def test_read_rejects_count_mismatch_and_bad_edges():
         read_edge_list(io.StringIO("# nodes=3 edges=1\n1,1\n"))
     with pytest.raises(EdgeListFormatError):
         read_edge_list(io.StringIO("# nodes=3 edges=1\n0,7\n"))
+
+
+def test_read_names_the_line_of_an_invalid_edge():
+    cases = [
+        ("# nodes=3 edges=3\n0,1\n1,2\n2,7\n", 4, "out of range"),
+        ("# nodes=3 edges=3\n0,1\n1,1\n1,2\n", 3, "self-loop"),
+        ("# nodes=3 edges=3\n0,1\n\n\n1,2\n-1,2\n", 6, "out of range"),
+    ]
+    for text, line_number, reason in cases:
+        with pytest.raises(EdgeListFormatError) as excinfo:
+            read_edge_list(io.StringIO(text))
+        assert excinfo.value.line_number == line_number
+        assert reason in str(excinfo.value)
+
+
+def test_read_rejects_repeated_edge_on_its_own_line():
+    with pytest.raises(EdgeListFormatError) as excinfo:
+        read_edge_list(io.StringIO("# nodes=3 edges=3\n0,1\n1,2\n0,1\n"))
+    assert excinfo.value.line_number == 4
+    assert str(excinfo.value) == "line 4: duplicate edge (0, 1), first on line 2"
+    with pytest.raises(EdgeListFormatError) as excinfo:
+        read_edge_list(io.StringIO("# nodes=3 edges=3\n1,2\n\n1,2\n2,0\n"))
+    assert excinfo.value.line_number == 4
+    # The reverse direction is a different edge.
+    assert read_edge_list(io.StringIO("# nodes=2 edges=2\n0,1\n1,0\n")).edge_count == 2
+
+
+def test_read_rejects_header_junk():
+    for header in (
+        "# nodes=3 edges=1 garbage",
+        "# nodes=3 edges=1 edges=1",
+        "# nodes=3 weights=1",
+        "# nodes=3",
+        "# nodes=x edges=1",
+    ):
+        with pytest.raises(EdgeListFormatError) as excinfo:
+            read_edge_list(io.StringIO(header + "\n0,1\n"))
+        assert excinfo.value.line_number == 1
+    assert read_edge_list(io.StringIO("# nodes=3  edges=1 \n0,1\n")).edge_count == 1
 
 
 def test_directed_graph_validation():

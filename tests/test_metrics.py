@@ -159,6 +159,17 @@ def test_shortest_path_error_cases():
         avg_shortest_path(UndirectedGraph(3, [(0, 1), (1, 2)]), sample_sources=0)
 
 
+def test_disconnected_graph_names_first_source_and_its_reach():
+    graph = UndirectedGraph(5, [(0, 1), (2, 3), (3, 4)])
+    with pytest.raises(ConnectivityError) as excinfo:
+        avg_shortest_path(graph, ALL)
+    assert str(excinfo.value) == "graph is disconnected: BFS from 0 reached 2 of 5 nodes"
+    # Seed 0 samples sources [3, 4]: the first lies in the 3-node part.
+    with pytest.raises(ConnectivityError) as excinfo:
+        avg_shortest_path(graph, 2, seed=0)
+    assert str(excinfo.value) == "graph is disconnected: BFS from 3 reached 3 of 5 nodes"
+
+
 def test_sampled_paths_are_deterministic_and_cover_small_graphs():
     cycle4 = UndirectedGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     exact = avg_shortest_path(cycle4, ALL)
