@@ -18,10 +18,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence, TextIO
 
 from . import __version__
 from .errors import (
@@ -327,13 +330,35 @@ def _params_echo(params: ModelParams) -> dict:
 
 
 def _sha256(path: Path) -> str:
-    return "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with path.open("rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return "sha256:" + digest.hexdigest()
+
+
+@contextmanager
+def _atomic_open(path: Path) -> Iterator[TextIO]:
+    """Open a temp file beside ``path`` for writing; it replaces ``path``
+    only once the block completes, and is removed if the block fails, so
+    no output is ever seen half written."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_text(path: Path, text: str) -> None:
+    with _atomic_open(path) as fh:
+        fh.write(text)
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    with path.open("w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _format_value(value) -> str:
@@ -355,12 +380,16 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     )
     graph = generate(params)
     out_path = Path(args.out)
-    with out_path.open("w") as fh:
+    manifest_path = Path(str(out_path) + ".manifest.json")
+    # The manifest is written last: one left from an earlier run must not
+    # describe outputs this run replaces.
+    manifest_path.unlink(missing_ok=True)
+    with _atomic_open(out_path) as fh:
         write_edge_list(graph, fh)
     outputs = {out_path.name: _sha256(out_path)}
     if args.tree_dump:
         dump_path = Path(args.tree_dump)
-        with dump_path.open("w") as fh:
+        with _atomic_open(dump_path) as fh:
             write_tree_dump(build_tree(params.tree), fh)
         outputs[dump_path.name] = _sha256(dump_path)
     manifest = {
@@ -369,7 +398,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         "params": _params_echo(params),
         "outputs": outputs,
     }
-    _write_json(Path(str(out_path) + ".manifest.json"), manifest)
+    _write_json(manifest_path, manifest)
     return EXIT_OK
 
 
@@ -394,9 +423,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
     stem = Path(args.out) if args.out else in_path.with_suffix("")
     text = format_report(values)
-    Path(f"{stem}.report.txt").write_text(text)
+    _write_text(Path(f"{stem}.report.txt"), text)
     _write_json(Path(f"{stem}.report.json"), values)
-    with Path(f"{stem}.ccdf.tsv").open("w") as fh:
+    with _atomic_open(Path(f"{stem}.ccdf.tsv")) as fh:
         write_ccdf(ccdf, fh)
     sys.stdout.write(text)
     return EXIT_OK
@@ -429,6 +458,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    manifest_path = out_dir / "manifest.json"
+    manifest_path.unlink(missing_ok=True)
     base_tree_seed = _tree_seed(args)
 
     def run_point(value, replicate: int) -> dict:
@@ -448,11 +479,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         graph = generate(params)
         tag = f"{args.kind}={_format_value(value)}_rep{replicate}"
         files = [f"ccdf_{tag}.tsv"]
-        with (out_dir / files[0]).open("w") as fh:
+        with _atomic_open(out_dir / files[0]) as fh:
             write_ccdf(degree_ccdf(list(graph.in_degree)), fh)
         if args.keep_edges:
             files.append(f"edges_{tag}.csv")
-            with (out_dir / files[-1]).open("w") as fh:
+            with _atomic_open(out_dir / files[-1]) as fh:
                 write_edge_list(graph, fh)
         report = compute_report(
             graph,
@@ -505,7 +536,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             )
         )
     summary_path = out_dir / "summary.tsv"
-    summary_path.write_text("\n".join(lines) + "\n")
+    _write_text(summary_path, "\n".join(lines) + "\n")
 
     file_names = sorted(name for row in results for name in row["files"])
     file_names.append(summary_path.name)
@@ -536,7 +567,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         ],
         "outputs": {name: _sha256(out_dir / name) for name in file_names},
     }
-    _write_json(out_dir / "manifest.json", manifest)
+    _write_json(manifest_path, manifest)
     return EXIT_OK
 
 
@@ -545,17 +576,24 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
     with in_path.open() as fh:
         graph = read_edge_list(fh)
     projection = undirected_projection(graph)
+    del graph  # the projection is all the export needs
+    neighbors = projection.neighbors
     if args.component == "giant":
-        members, component = giant_component(projection)
+        members, _ = giant_component(projection)
     else:
-        members, component = list(range(projection.node_count)), projection
+        members = range(len(neighbors))
     out_path = Path(args.out) if args.out else in_path.with_suffix(".dot")
-    with out_path.open("w") as fh:
+    with _atomic_open(out_path) as fh:
         fh.write("graph g {\n")
-        for node in members:
-            fh.write(f"  {node};\n")
-        for u, v in component.edges():
-            fh.write(f"  {members[u]} -- {members[v]};\n")
+        fh.write("".join(f"  {node};\n" for node in members))
+        # A component is closed under adjacency, so a member's higher
+        # neighbours are exactly its edges to later members.
+        for u in members:
+            nbrs = neighbors[u]
+            higher = nbrs[bisect_right(nbrs, u):]
+            if higher:
+                prefix = f"  {u} -- "
+                fh.write(prefix + f";\n{prefix}".join(map(str, higher)) + ";\n")
         fh.write("}\n")
     return EXIT_OK
 

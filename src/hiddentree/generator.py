@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import ParameterError
 from .graph import DirectedGraph
-from .hidden_tree import TreeParams, build_tree, path_between
+from .hidden_tree import TreeParams, build_tree, climb
 
 __all__ = [
     "Variant",
@@ -91,53 +91,73 @@ class GenerationTrace:
 
 def generate(params: ModelParams) -> DirectedGraph:
     """Run the generation loop and return the deduplicated directed graph."""
-    graph, _ = generate_with_trace(params)
-    return graph
+    return _run(params, with_trace=False)[0]
 
 
 def generate_with_trace(params: ModelParams) -> tuple[DirectedGraph, GenerationTrace]:
     """As :func:`generate`, also returning the per-node selection trace."""
+    graph, counts, dests, closure_added = _run(params, with_trace=True)
+    return graph, GenerationTrace(counts, dests, closure_added)
+
+
+def _run(
+    params: ModelParams, with_trace: bool
+) -> tuple[DirectedGraph, list[int], list[tuple[int, ...]], int]:
+    """The generation loop, one node at a time.
+
+    Node i's out-edges only grow while node i is processed, so each node
+    fills one set that becomes its sorted out-list as soon as it is done.
+    Returns the graph, then the trace fields: per-node selection counts
+    and kept destinations (empty unless ``with_trace``) and the number of
+    closure edges added.
+    """
     tree = build_tree(params.tree)
     n = tree.node_count
-    out: list[set[int]] = [set() for _ in range(n)]
+    parent, children = tree.parent, tree.children
+    leaf_only = params.variant is Variant.LEAF_ACTIVE
+    activity = params.activity
+    keep_self = params.allow_self_selection
 
-    if params.include_tree_edges:
-        for child in range(1, n):
-            p = tree.parent[child]
-            out[child].add(p)
-            out[p].add(child)
-
-    if params.variant is Variant.LEAF_ACTIVE:
-        active = tree.leaves()
-    else:
-        active = range(n)
-
-    counts = [0] * n
-    dests: list[list[int]] = [[] for _ in range(n)]
+    out_edges: list[list[int]] = []
+    in_degree = [0] * n
+    counts: list[int] = []
+    dests: list[tuple[int, ...]] = []
     closure_added = 0
 
-    for i in active:
-        rng = random.Random(derive_seed(params.seed, i))
-        act = params.activity
-        while act > 0:
-            if rng.random() < act:
-                counts[i] += 1
-                dest = rng.randrange(n)
-                if dest != i or params.allow_self_selection:
-                    dests[i].append(dest)
-                    edges_i = out[i]
+    for i in range(n):
+        edges_i: set[int] = set()
+        if params.include_tree_edges:
+            edges_i.update(children[i])
+            if i:
+                edges_i.add(parent[i])
+        selections = 0
+        kept: list[int] = []
+        if not (leaf_only and children[i]):
+            rng = random.Random(derive_seed(params.seed, i))
+            act = activity
+            while act > 0:
+                if rng.random() < act:
+                    selections += 1
+                    dest = rng.randrange(n)
                     if dest != i:
+                        kept.append(dest)
                         edges_i.add(dest)
-                    for v in path_between(tree, i, dest):
-                        if v != i and v != dest and v not in edges_i:
-                            edges_i.add(v)
-                            closure_added += 1
-            act -= 1
+                        up, down = climb(tree, i, dest)
+                        for path in (up, down):
+                            for v in path:
+                                if v != i and v not in edges_i:
+                                    edges_i.add(v)
+                                    closure_added += 1
+                    elif keep_self:
+                        kept.append(dest)
+                act -= 1
+        row = sorted(edges_i)
+        out_edges.append(row)
+        for v in row:
+            in_degree[v] += 1
+        if with_trace:
+            counts.append(selections)
+            dests.append(tuple(kept))
 
-    graph = DirectedGraph.from_out_sets(out)
-    trace = GenerationTrace(
-        selection_counts=counts,
-        destinations=[tuple(d) for d in dests],
-        closure_edges_added=closure_added,
-    )
-    return graph, trace
+    graph = DirectedGraph._adopt(out_edges, in_degree)
+    return graph, counts, dests, closure_added

@@ -8,7 +8,8 @@ comfortably.
 
 from __future__ import annotations
 
-from collections import deque
+from itertools import islice
+from operator import eq
 from typing import Iterable, Iterator, TextIO
 
 from .errors import EdgeListFormatError, ParameterError
@@ -21,6 +22,9 @@ __all__ = [
     "write_edge_list",
     "read_edge_list",
 ]
+
+# Characters of edge-list text parsed per block by read_edge_list.
+_BLOCK_CHARS = 1 << 20
 
 
 class DirectedGraph:
@@ -41,26 +45,21 @@ class DirectedGraph:
             if src == dst:
                 raise ParameterError(f"self-loop ({src}, {dst}) not allowed")
             out[src].add(dst)
-        self._finish(out)
+        in_degree = [0] * node_count
+        for dsts in out:
+            for dst in dsts:
+                in_degree[dst] += 1
+        self.out_edges = [sorted(dsts) for dsts in out]
+        self.in_degree = in_degree
 
     @classmethod
-    def from_out_sets(cls, out: list[set[int]]) -> "DirectedGraph":
-        """Adopt per-node destination sets (trusted: in-range, no self-loops)."""
+    def _adopt(cls, out_edges: list[list[int]], in_degree: list[int]) -> "DirectedGraph":
+        """Take over sorted, deduplicated, in-range out-lists without a self-loop,
+        and their in-degrees, as they are."""
         g = cls.__new__(cls)
-        g._finish(out)
+        g.out_edges = out_edges
+        g.in_degree = in_degree
         return g
-
-    def _finish(self, out: list[set[int]]) -> None:
-        n = len(out)
-        in_deg = [0] * n
-        out_lists = []
-        for dsts in out:
-            lst = sorted(dsts)
-            out_lists.append(lst)
-            for d in lst:
-                in_deg[d] += 1
-        self.out_edges = out_lists
-        self.in_degree = in_deg
 
     @property
     def node_count(self) -> int:
@@ -95,6 +94,13 @@ class UndirectedGraph:
             nbr[v].add(u)
         self.neighbors = [sorted(s) for s in nbr]
 
+    @classmethod
+    def _adopt(cls, neighbors: list[list[int]]) -> "UndirectedGraph":
+        """Take over sorted, symmetric, deduplicated neighbour lists as they are."""
+        g = cls.__new__(cls)
+        g.neighbors = neighbors
+        return g
+
     @property
     def node_count(self) -> int:
         return len(self.neighbors)
@@ -102,9 +108,6 @@ class UndirectedGraph:
     @property
     def edge_count(self) -> int:
         return sum(len(lst) for lst in self.neighbors) // 2
-
-    def degree(self, u: int) -> int:
-        return len(self.neighbors[u])
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, ascending."""
@@ -115,8 +118,22 @@ class UndirectedGraph:
 
 
 def undirected_projection(g: DirectedGraph) -> UndirectedGraph:
-    """Collapse edge directions: {i, j} present iff i->j or j->i is."""
-    return UndirectedGraph(g.node_count, g.edges())
+    """Collapse edge directions: {i, j} present iff i->j or j->i is.
+
+    Each node's in-list comes out sorted because sources are visited in
+    ascending order; it is merged with the node's out-list. A
+    DirectedGraph is already valid, so nothing is checked again.
+    """
+    out = g.out_edges
+    nbr: list[list[int]] = [[] for _ in out]
+    for u, dsts in enumerate(out):
+        for v in dsts:
+            nbr[v].append(u)
+    for u, dsts in enumerate(out):
+        if dsts:
+            ins = nbr[u]
+            nbr[u] = sorted(set(ins).union(dsts)) if ins else dsts[:]
+    return UndirectedGraph._adopt(nbr)
 
 
 def giant_component(g: UndirectedGraph) -> tuple[list[int], UndirectedGraph]:
@@ -126,40 +143,42 @@ def giant_component(g: UndirectedGraph) -> tuple[list[int], UndirectedGraph]:
     Returns the sorted member ids and the induced subgraph with members
     relabeled to 0..len(members)-1 in that sorted order.
     """
-    n = g.node_count
-    label = [-1] * n
+    neighbors = g.neighbors
+    label = [-1] * len(neighbors)
     best_members: list[int] = []
-    for start in range(n):
+    for start in range(len(neighbors)):
         if label[start] != -1:
             continue
-        members = [start]
         label[start] = start
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in g.neighbors[u]:
+        members = [start]
+        for u in members:  # breadth-first: the list is its own queue
+            for v in neighbors[u]:
                 if label[v] == -1:
                     label[v] = start
                     members.append(v)
-                    queue.append(v)
         # Scan order makes the first maximal component the smallest-id one.
         if len(members) > len(best_members):
             best_members = members
 
     best_members.sort()
-    index = {node: i for i, node in enumerate(best_members)}
-    induced = UndirectedGraph.__new__(UndirectedGraph)
-    induced.neighbors = [
-        [index[v] for v in g.neighbors[node]] for node in best_members
-    ]
+    # Every neighbour of a member is a member, so only members' labels are
+    # read back: overwrite them with the new ids.
+    for new_id, node in enumerate(best_members):
+        label[node] = new_id
+    relabel = label.__getitem__
+    induced = UndirectedGraph._adopt(
+        [list(map(relabel, neighbors[node])) for node in best_members]
+    )
     return best_members, induced
 
 
 def write_edge_list(g: DirectedGraph, stream: TextIO) -> None:
     """Write the `# nodes=<N> edges=<E>` header then one `src,dst` line per edge."""
     stream.write(f"# nodes={g.node_count} edges={g.edge_count}\n")
-    for src, dst in g.edges():
-        stream.write(f"{src},{dst}\n")
+    for src, dsts in enumerate(g.out_edges):
+        if dsts:
+            prefix = f"{src},"
+            stream.write(prefix + f"\n{prefix}".join(map(str, dsts)) + "\n")
 
 
 def read_edge_list(stream: TextIO) -> DirectedGraph:
@@ -168,6 +187,8 @@ def read_edge_list(stream: TextIO) -> DirectedGraph:
     Raises :class:`EdgeListFormatError` naming the offending line: the
     header for a malformed header or a wrong edge count, otherwise the
     edge line that is malformed, out of range, a self-loop or a repeat.
+    Lines may come in any order and carry surrounding whitespace; blank
+    lines are skipped.
     """
     header = stream.readline()
     if not header.startswith("# nodes="):
@@ -181,46 +202,92 @@ def read_edge_list(stream: TextIO) -> DirectedGraph:
     except ValueError:
         raise EdgeListFormatError(1, "malformed header") from None
 
-    edges = []
-    blank_lines = []
-    for line_no, line in enumerate(stream, start=2):
-        line = line.strip()
-        if not line:
-            blank_lines.append(line_no)
-            continue
-        src_s, sep, dst_s = line.partition(",")
-        if not sep:
-            raise EdgeListFormatError(line_no, f"expected 'src,dst', got {line!r}")
-        try:
-            edges.append((int(src_s), int(dst_s)))
-        except ValueError:
-            raise EdgeListFormatError(line_no, f"non-integer node id in {line!r}") from None
+    # Lines are parsed a block at a time. Each block's ids are swapped for
+    # one shared int object per node id, so the ints parsed from a block
+    # are freed at once and every list that names a node points into one
+    # compact run of objects.
+    node_ids: list[int] = []
+    srcs: list[int] = []
+    dsts: list[int] = []
+    blank_lines: list[int] = []
+    first_line = 2
+    all_ids = True  # every block held only valid node ids
+    while block := stream.readlines(_BLOCK_CHARS):
+        start = len(srcs)
+        for line_no, line in enumerate(block, first_line):
+            line = line.strip()
+            if not line:
+                blank_lines.append(line_no)
+                continue
+            src_s, sep, dst_s = line.partition(",")
+            if not sep:
+                raise EdgeListFormatError(line_no, f"expected 'src,dst', got {line!r}")
+            try:
+                srcs.append(int(src_s))
+                dsts.append(int(dst_s))
+            except ValueError:
+                raise EdgeListFormatError(
+                    line_no, f"non-integer node id in {line!r}"
+                ) from None
+        first_line += len(block)
+        all_ids &= _share_ids(srcs, start, node_ids, node_count)
+        all_ids &= _share_ids(dsts, start, node_ids, node_count)
 
-    if len(edges) != edge_count:
+    if len(srcs) != edge_count:
         raise EdgeListFormatError(
-            1, f"header says {edge_count} edges, file has {len(edges)}"
+            1, f"header says {edge_count} edges, file has {len(srcs)}"
         )
-    # Edges are validated in bulk by the graph build; only a failure pays
-    # for finding the line.
-    try:
-        graph = DirectedGraph(node_count, edges)
-    except ParameterError as exc:
-        line_no = 1  # the header's node count itself is invalid
-        for i, (src, dst) in enumerate(edges):
-            if src == dst or not (0 <= src < node_count and 0 <= dst < node_count):
-                line_no = _edge_line(i, blank_lines)
-                break
-        raise EdgeListFormatError(line_no, str(exc)) from None
-    if graph.edge_count != len(edges):
-        first_index = {}
-        for i, edge in enumerate(edges):
+    # Edges are validated in bulk, their ranges block by block; only a
+    # failure pays for finding the line, and the validating constructor
+    # words the error.
+    if node_count < 1 or not all_ids or any(map(eq, srcs, dsts)):
+        try:
+            DirectedGraph(node_count, zip(srcs, dsts))
+        except ParameterError as exc:
+            line_no = 1  # the header's node count itself is invalid
+            for i, (src, dst) in enumerate(zip(srcs, dsts)):
+                if src == dst or not (0 <= src < node_count and 0 <= dst < node_count):
+                    line_no = _edge_line(i, blank_lines)
+                    break
+            raise EdgeListFormatError(line_no, str(exc)) from None
+
+    out_edges: list[list[int]] = [[] for _ in range(node_count)]
+    for src, dst in zip(srcs, dsts):
+        out_edges[src].append(dst)
+    repeated = False
+    for row in out_edges:
+        if len(row) > 1:
+            row.sort()
+            repeated = repeated or any(map(eq, row, islice(row, 1, None)))
+    if repeated:
+        first_index: dict[tuple[int, int], int] = {}
+        for i, edge in enumerate(zip(srcs, dsts)):
             first = first_index.setdefault(edge, i)
             if first != i:
                 raise EdgeListFormatError(
                     _edge_line(i, blank_lines),
                     f"duplicate edge {edge}, first on line {_edge_line(first, blank_lines)}",
                 )
-    return graph
+    in_degree = [0] * node_count
+    for dst in dsts:
+        in_degree[dst] += 1
+    return DirectedGraph._adopt(out_edges, in_degree)
+
+
+def _share_ids(values: list[int], start: int, node_ids: list[int], node_count: int) -> bool:
+    """Replace ``values[start:]`` by the shared objects in ``node_ids``,
+    extending it up to the largest id seen, if all are in [0, node_count).
+    Otherwise leave them as parsed and return False."""
+    block = values[start:]
+    if not block:
+        return True
+    high = max(block)
+    if min(block) < 0 or high >= node_count:
+        return False
+    if high >= len(node_ids):
+        node_ids.extend(range(len(node_ids), high + 1))
+    values[start:] = map(node_ids.__getitem__, block)
+    return True
 
 
 def _edge_line(index: int, blank_lines: list[int]) -> int:

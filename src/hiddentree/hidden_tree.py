@@ -103,41 +103,45 @@ def build_tree(params: TreeParams) -> HiddenTree:
 
 
 def lca(tree: HiddenTree, u: int, v: int) -> int:
-    """Deepest common ancestor of u and v (depth-equalize, then climb in lockstep)."""
+    """Deepest common ancestor of u and v."""
     tree._check_node(u)
     tree._check_node(v)
-    parent, depth = tree.parent, tree.depth
-    while depth[u] > depth[v]:
-        u = parent[u]
-    while depth[v] > depth[u]:
-        v = parent[v]
-    while u != v:
-        u = parent[u]
-        v = parent[v]
-    return u
+    up, _ = climb(tree, u, v)
+    return up[-1]
 
 
 def path_between(tree: HiddenTree, u: int, v: int) -> list[int]:
     """The unique tree path from u to v, inclusive of both endpoints."""
     tree._check_node(u)
     tree._check_node(v)
+    up, down = climb(tree, u, v)
+    down.reverse()
+    return up + down
+
+
+def climb(tree: HiddenTree, u: int, v: int) -> tuple[list[int], list[int]]:
+    """Climb from u and v to their deepest common ancestor (depth-equalize,
+    then step in lockstep); node ids are not range-checked.
+
+    Returns ``(up, down)``: ``up`` runs from u to the ancestor inclusive,
+    ``down`` from v up to just below it, so the u-to-v path is ``up``
+    followed by ``down`` reversed.
+    """
     parent, depth = tree.parent, tree.depth
-    up: list[int] = []
-    down: list[int] = []
+    up = [u]
+    down = []
     while depth[u] > depth[v]:
-        up.append(u)
         u = parent[u]
+        up.append(u)
     while depth[v] > depth[u]:
         down.append(v)
         v = parent[v]
     while u != v:
-        up.append(u)
         down.append(v)
         u = parent[u]
         v = parent[v]
-    up.append(u)
-    down.reverse()
-    return up + down
+        up.append(u)
+    return up, down
 
 
 def write_tree_dump(tree: HiddenTree, stream: TextIO) -> None:

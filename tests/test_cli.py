@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: outputs, config handling, exit codes."""
 
 import hashlib
+import io
 import json
 import re
 import subprocess
@@ -9,6 +10,7 @@ import sys
 import pytest
 
 from hiddentree import DirectedGraph, TreeParams, build_tree, read_edge_list, write_edge_list
+from hiddentree import cli
 from hiddentree.cli import main
 
 
@@ -81,6 +83,59 @@ def test_generate_tree_dump(tmp_path):
     assert lines[0] == "0\t-1\t0"
     manifest = read_manifest(tmp_path / "net.edges.manifest.json")
     assert dump.name in manifest["outputs"]
+
+
+def fail_halfway(writer):
+    """``writer`` that writes the first half of its output, then fails."""
+    def write(obj, fh):
+        buffer = io.StringIO()
+        writer(obj, buffer)
+        text = buffer.getvalue()
+        fh.write(text[: len(text) // 2])
+        raise OSError("disk full")
+    return write
+
+
+GENERATE = ("generate", "--nodes", 300, "--branching", "2.0", "--activity", 0.4,
+            "--out", "net.edges", "--tree-dump", "net.tree")
+SWEEP = ("sweep", "--kind", "activity", "--values", "0.2,0.4", "--nodes", 200,
+         "--branching", "2.0", "--path-samples", 20, "--out", "sweep")
+
+
+@pytest.mark.parametrize("writer, argv, missing", [
+    ("write_edge_list", GENERATE, ["net.edges", "net.edges.manifest.json"]),
+    ("write_tree_dump", GENERATE, ["net.tree", "net.edges.manifest.json"]),
+    ("write_ccdf", ("analyze", "net.edges"), ["net.ccdf.tsv"]),
+    ("write_ccdf", SWEEP, ["sweep/manifest.json", "sweep/summary.tsv"]),
+])
+def test_failed_write_leaves_no_output_or_manifest(tmp_path, monkeypatch, writer, argv, missing):
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "analyze":
+        assert run_cli(*GENERATE) == 0
+    monkeypatch.setattr(cli, writer, fail_halfway(getattr(cli, writer)))
+    assert run_cli(*argv) == 2
+    for name in missing:
+        assert not (tmp_path / name).exists(), name
+    leftovers = [path.name for path in tmp_path.rglob("*") if path.name.endswith(".tmp")]
+    assert leftovers == []
+
+
+def test_failed_rerun_keeps_earlier_outputs_whole(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rerun = (*GENERATE[:-4], "--seed", 1, *GENERATE[-4:])
+    assert run_cli(*GENERATE) == 0
+    first = (tmp_path / "net.edges").read_bytes()
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "write_edge_list", fail_halfway(cli.write_edge_list))
+        assert run_cli(*rerun) == 2
+    # The earlier file is untouched, but no manifest vouches for it now.
+    assert (tmp_path / "net.edges").read_bytes() == first
+    assert not (tmp_path / "net.edges.manifest.json").exists()
+    monkeypatch.setattr(cli, "write_tree_dump", fail_halfway(cli.write_tree_dump))
+    assert run_cli(*rerun) == 2
+    # The new edge list is complete, the tree dump is the earlier one.
+    assert (tmp_path / "net.edges").read_bytes() != first
+    assert not (tmp_path / "net.edges.manifest.json").exists()
 
 
 def test_analyze_triangle(tmp_path, capsys):

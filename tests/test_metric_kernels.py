@@ -35,7 +35,7 @@ def oracle_clustering(g):
             triangles[c] += 1
     total = 0.0
     for i in range(g.node_count):
-        d = g.degree(i)
+        d = len(g.neighbors[i])
         if d >= 2:
             total += 2.0 * triangles[i] / (d * (d - 1))
     return total / g.node_count
