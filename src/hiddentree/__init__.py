@@ -22,6 +22,7 @@ from .graph import (
     DirectedGraph,
     UndirectedGraph,
     giant_component,
+    giant_members,
     read_edge_list,
     undirected_projection,
     write_edge_list,
@@ -81,6 +82,7 @@ __all__ = [
     "generate_er",
     "generate_with_trace",
     "giant_component",
+    "giant_members",
     "lca",
     "path_between",
     "read_edge_list",

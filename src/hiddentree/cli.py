@@ -35,7 +35,7 @@ from .errors import (
     ParameterError,
 )
 from .generator import ModelParams, Variant, derive_seed, generate
-from .graph import giant_component, read_edge_list, undirected_projection, write_edge_list
+from .graph import giant_members, read_edge_list, undirected_projection, write_edge_list
 from .hidden_tree import TreeParams, build_tree, write_tree_dump
 from .metrics import (
     ALL,
@@ -378,7 +378,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         args.variant,
         args.include_tree_edges,
     )
-    graph = generate(params)
+    tree = build_tree(params.tree)
+    graph = generate(params, tree=tree)
     out_path = Path(args.out)
     manifest_path = Path(str(out_path) + ".manifest.json")
     # The manifest is written last: one left from an earlier run must not
@@ -390,7 +391,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     if args.tree_dump:
         dump_path = Path(args.tree_dump)
         with _atomic_open(dump_path) as fh:
-            write_tree_dump(build_tree(params.tree), fh)
+            write_tree_dump(tree, fh)
         outputs[dump_path.name] = _sha256(dump_path)
     manifest = {
         "command": "generate",
@@ -579,7 +580,7 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
     del graph  # the projection is all the export needs
     neighbors = projection.neighbors
     if args.component == "giant":
-        members, _ = giant_component(projection)
+        members = giant_members(projection)
     else:
         members = range(len(neighbors))
     out_path = Path(args.out) if args.out else in_path.with_suffix(".dot")

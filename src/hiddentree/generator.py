@@ -16,10 +16,11 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
+from typing import Optional
 
 from .errors import ParameterError
 from .graph import DirectedGraph
-from .hidden_tree import TreeParams, build_tree, climb
+from .hidden_tree import HiddenTree, TreeParams, build_tree, climb
 
 __all__ = [
     "Variant",
@@ -89,37 +90,49 @@ class GenerationTrace:
     closure_edges_added: int
 
 
-def generate(params: ModelParams) -> DirectedGraph:
-    """Run the generation loop and return the deduplicated directed graph."""
-    return _run(params, with_trace=False)[0]
+def generate(params: ModelParams, tree: Optional[HiddenTree] = None) -> DirectedGraph:
+    """Run the generation loop and return the deduplicated directed graph.
+
+    ``tree`` is the tree ``build_tree(params.tree)`` returns, for a caller
+    that already holds it; by default it is built here.
+    """
+    if tree is None:
+        tree = build_tree(params.tree)
+    elif tree.node_count != params.tree.node_count:
+        raise ParameterError(
+            f"tree has {tree.node_count} nodes, params.tree asks for {params.tree.node_count}"
+        )
+    return _run(params, tree, with_trace=False)[0]
 
 
 def generate_with_trace(params: ModelParams) -> tuple[DirectedGraph, GenerationTrace]:
     """As :func:`generate`, also returning the per-node selection trace."""
-    graph, counts, dests, closure_added = _run(params, with_trace=True)
+    graph, counts, dests, closure_added = _run(params, build_tree(params.tree), with_trace=True)
     return graph, GenerationTrace(counts, dests, closure_added)
 
 
 def _run(
-    params: ModelParams, with_trace: bool
+    params: ModelParams, tree: HiddenTree, with_trace: bool
 ) -> tuple[DirectedGraph, list[int], list[tuple[int, ...]], int]:
     """The generation loop, one node at a time.
 
     Node i's out-edges only grow while node i is processed, so each node
     fills one set that becomes its sorted out-list as soon as it is done.
+    In-degrees are left for the graph to count if they are read.
     Returns the graph, then the trace fields: per-node selection counts
     and kept destinations (empty unless ``with_trace``) and the number of
     closure edges added.
     """
-    tree = build_tree(params.tree)
     n = tree.node_count
     parent, children = tree.parent, tree.children
     leaf_only = params.variant is Variant.LEAF_ACTIVE
     activity = params.activity
     keep_self = params.allow_self_selection
 
+    # Random(x) is seed(x) on a new object, so reseeding one object gives
+    # every node the same stream and saves constructing n of them.
+    rng = random.Random()
     out_edges: list[list[int]] = []
-    in_degree = [0] * n
     counts: list[int] = []
     dests: list[tuple[int, ...]] = []
     closure_added = 0
@@ -133,7 +146,7 @@ def _run(
         selections = 0
         kept: list[int] = []
         if not (leaf_only and children[i]):
-            rng = random.Random(derive_seed(params.seed, i))
+            rng.seed(derive_seed(params.seed, i))
             act = activity
             while act > 0:
                 if rng.random() < act:
@@ -151,13 +164,10 @@ def _run(
                     elif keep_self:
                         kept.append(dest)
                 act -= 1
-        row = sorted(edges_i)
-        out_edges.append(row)
-        for v in row:
-            in_degree[v] += 1
+        out_edges.append(sorted(edges_i))
         if with_trace:
             counts.append(selections)
             dests.append(tuple(kept))
 
-    graph = DirectedGraph._adopt(out_edges, in_degree)
+    graph = DirectedGraph._adopt(out_edges)
     return graph, counts, dests, closure_added

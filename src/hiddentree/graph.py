@@ -18,6 +18,7 @@ __all__ = [
     "DirectedGraph",
     "UndirectedGraph",
     "undirected_projection",
+    "giant_members",
     "giant_component",
     "write_edge_list",
     "read_edge_list",
@@ -30,10 +31,12 @@ _BLOCK_CHARS = 1 << 20
 class DirectedGraph:
     """Deduplicated directed edges over nodes 0..N-1; no self-loops.
 
-    Immutable once built; out-edge lists are sorted ascending.
+    Immutable once built; out-edge lists are sorted ascending. A list may
+    be shared with another graph (a projection adopts out-lists), so none
+    is ever mutated. In-degrees are counted on first read and then kept.
     """
 
-    __slots__ = ("out_edges", "in_degree")
+    __slots__ = ("out_edges", "_in_degree")
 
     def __init__(self, node_count: int, edges: Iterable[tuple[int, int]] = ()):
         if node_count < 1:
@@ -45,21 +48,28 @@ class DirectedGraph:
             if src == dst:
                 raise ParameterError(f"self-loop ({src}, {dst}) not allowed")
             out[src].add(dst)
-        in_degree = [0] * node_count
-        for dsts in out:
-            for dst in dsts:
-                in_degree[dst] += 1
         self.out_edges = [sorted(dsts) for dsts in out]
-        self.in_degree = in_degree
+        self._in_degree = None
 
     @classmethod
-    def _adopt(cls, out_edges: list[list[int]], in_degree: list[int]) -> "DirectedGraph":
-        """Take over sorted, deduplicated, in-range out-lists without a self-loop,
-        and their in-degrees, as they are."""
+    def _adopt(cls, out_edges: list[list[int]]) -> "DirectedGraph":
+        """Take over sorted, deduplicated, in-range out-lists without a self-loop
+        as they are."""
         g = cls.__new__(cls)
         g.out_edges = out_edges
-        g.in_degree = in_degree
+        g._in_degree = None
         return g
+
+    @property
+    def in_degree(self) -> list[int]:
+        """In-degree of every node, counted from the out-lists on first read."""
+        if self._in_degree is None:
+            in_degree = [0] * len(self.out_edges)
+            for dsts in self.out_edges:
+                for dst in dsts:
+                    in_degree[dst] += 1
+            self._in_degree = in_degree
+        return self._in_degree
 
     @property
     def node_count(self) -> int:
@@ -77,7 +87,11 @@ class DirectedGraph:
 
 
 class UndirectedGraph:
-    """Symmetric deduplicated adjacency over nodes 0..N-1; no self-loops."""
+    """Symmetric deduplicated adjacency over nodes 0..N-1; no self-loops.
+
+    Neighbour lists are sorted ascending. A list may be shared with the
+    directed graph it was projected from, so none is ever mutated.
+    """
 
     __slots__ = ("neighbors",)
 
@@ -121,7 +135,8 @@ def undirected_projection(g: DirectedGraph) -> UndirectedGraph:
     """Collapse edge directions: {i, j} present iff i->j or j->i is.
 
     Each node's in-list comes out sorted because sources are visited in
-    ascending order; it is merged with the node's out-list. A
+    ascending order; it is merged with the node's out-list. A node with
+    no in-edges shares its out-list as its neighbour list. A
     DirectedGraph is already valid, so nothing is checked again.
     """
     out = g.out_edges
@@ -132,44 +147,48 @@ def undirected_projection(g: DirectedGraph) -> UndirectedGraph:
     for u, dsts in enumerate(out):
         if dsts:
             ins = nbr[u]
-            nbr[u] = sorted(set(ins).union(dsts)) if ins else dsts[:]
+            nbr[u] = sorted(set(ins).union(dsts)) if ins else dsts
     return UndirectedGraph._adopt(nbr)
 
 
-def giant_component(g: UndirectedGraph) -> tuple[list[int], UndirectedGraph]:
-    """Largest connected component by node count; ties go to the one
-    containing the smallest node id.
-
-    Returns the sorted member ids and the induced subgraph with members
-    relabeled to 0..len(members)-1 in that sorted order.
-    """
+def giant_members(g: UndirectedGraph) -> list[int]:
+    """Sorted node ids of the largest connected component by node count;
+    ties go to the one containing the smallest node id."""
     neighbors = g.neighbors
-    label = [-1] * len(neighbors)
+    seen = bytearray(len(neighbors))
     best_members: list[int] = []
     for start in range(len(neighbors)):
-        if label[start] != -1:
+        if seen[start]:
             continue
-        label[start] = start
+        seen[start] = 1
         members = [start]
         for u in members:  # breadth-first: the list is its own queue
             for v in neighbors[u]:
-                if label[v] == -1:
-                    label[v] = start
+                if not seen[v]:
+                    seen[v] = 1
                     members.append(v)
         # Scan order makes the first maximal component the smallest-id one.
         if len(members) > len(best_members):
             best_members = members
-
     best_members.sort()
-    # Every neighbour of a member is a member, so only members' labels are
-    # read back: overwrite them with the new ids.
-    for new_id, node in enumerate(best_members):
-        label[node] = new_id
-    relabel = label.__getitem__
+    return best_members
+
+
+def giant_component(g: UndirectedGraph) -> tuple[list[int], UndirectedGraph]:
+    """The :func:`giant_members` and the induced subgraph with members
+    relabeled to 0..len(members)-1 in that sorted order."""
+    neighbors = g.neighbors
+    members = giant_members(g)
+    # Every neighbour of a member is a member, so only members' entries
+    # are read back.
+    new_ids = [0] * len(neighbors)
+    for new_id, node in enumerate(members):
+        new_ids[node] = new_id
+    relabel = new_ids.__getitem__
     induced = UndirectedGraph._adopt(
-        [list(map(relabel, neighbors[node])) for node in best_members]
+        [list(map(relabel, neighbors[node])) for node in members]
     )
-    return best_members, induced
+    return members, induced
 
 
 def write_edge_list(g: DirectedGraph, stream: TextIO) -> None:
@@ -268,10 +287,7 @@ def read_edge_list(stream: TextIO) -> DirectedGraph:
                     _edge_line(i, blank_lines),
                     f"duplicate edge {edge}, first on line {_edge_line(first, blank_lines)}",
                 )
-    in_degree = [0] * node_count
-    for dst in dsts:
-        in_degree[dst] += 1
-    return DirectedGraph._adopt(out_edges, in_degree)
+    return DirectedGraph._adopt(out_edges)
 
 
 def _share_ids(values: list[int], start: int, node_ids: list[int], node_count: int) -> bool:

@@ -3,13 +3,24 @@
 import hashlib
 import io
 import json
+import random
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from hiddentree import DirectedGraph, TreeParams, build_tree, read_edge_list, write_edge_list
+import hiddentree
+from hiddentree import (
+    DirectedGraph,
+    TreeParams,
+    build_tree,
+    giant_component,
+    read_edge_list,
+    undirected_projection,
+    write_edge_list,
+)
 from hiddentree import cli
 from hiddentree.cli import main
 
@@ -83,6 +94,25 @@ def test_generate_tree_dump(tmp_path):
     assert lines[0] == "0\t-1\t0"
     manifest = read_manifest(tmp_path / "net.edges.manifest.json")
     assert dump.name in manifest["outputs"]
+
+
+def test_generate_tree_dump_builds_the_tree_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting_build_tree(params):
+        calls.append(params)
+        return build_tree(params)
+
+    modules = [module for name, module in sys.modules.items()
+               if name.partition(".")[0] == "hiddentree"
+               and getattr(module, "build_tree", None) is build_tree]
+    assert {"hiddentree", "hiddentree.cli", "hiddentree.generator"} <= {
+        module.__name__ for module in modules}
+    for module in modules:
+        monkeypatch.setattr(module, "build_tree", counting_build_tree)
+    assert run_cli("generate", "--nodes", 50, "--branching", "2.0", "--activity", 1,
+                   "--out", tmp_path / "net.edges", "--tree-dump", tmp_path / "net.tree") == 0
+    assert calls == [TreeParams(50, 2.0, seed=0)]
 
 
 def fail_halfway(writer):
@@ -303,6 +333,28 @@ def test_export_dot_keeps_largest_component_only(tmp_path):
     assert "  5;\n" in full_text
 
 
+def dot_from_giant_component(graph):
+    """The DOT text of the giant component's induced graph, mapped back
+    through its member ids."""
+    members, giant = giant_component(undirected_projection(graph))
+    lines = [f"  {node};\n" for node in members]
+    lines += [f"  {members[u]} -- {members[v]};\n" for u, v in giant.edges()]
+    return "graph g {\n" + "".join(lines) + "}\n"
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_export_dot_giant_equals_giant_component(tmp_path, seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 30)
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]
+    graph = DirectedGraph(n, [(u, v) for u, v in pairs if u != v])
+    edge_file = tmp_path / "net.edges"
+    with edge_file.open("w") as fh:
+        write_edge_list(graph, fh)
+    assert run_cli("export-dot", edge_file, "--component", "giant") == 0
+    assert (tmp_path / "net.dot").read_text() == dot_from_giant_component(graph)
+
+
 def test_export_dot_matches_reported_component_size(tmp_path):
     edge_file = tmp_path / "net.edges"
     assert run_cli("generate", "--nodes", 300, "--branching", "2.0",
@@ -323,6 +375,25 @@ def test_leaf_variant_via_cli(tmp_path):
         graph = read_edge_list(fh)
     leaves = set(build_tree(TreeParams(60, 2.0, seed=4)).leaves())
     assert {src for src, _ in graph.edges()} <= leaves
+
+
+def test_runtime_imports_only_the_standard_library():
+    # Only modules loaded by the import itself count: the interpreter's
+    # start-up hooks may load third-party modules of their own.
+    src = Path(hiddentree.__file__).resolve().parents[1]
+    code = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "before = set(sys.modules)\n"
+        "import hiddentree, hiddentree.cli\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True, check=True)
+    top_level = {name.partition(".")[0] for name in json.loads(result.stdout)}
+    assert "hiddentree" in top_level
+    allowed = set(sys.stdlib_module_names) | {"hiddentree"}
+    assert sorted(top_level - allowed) == []
 
 
 def test_module_entry_point_runs():

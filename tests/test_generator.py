@@ -1,5 +1,7 @@
 """Generation loop semantics: selection counts, path closure, and determinism."""
 
+import hashlib
+import io
 import math
 import random
 
@@ -15,6 +17,7 @@ from hiddentree import (
     generate,
     generate_with_trace,
     path_between,
+    write_edge_list,
 )
 
 # Frozen master seed for the 3-node chain trace: node 0 draws itself,
@@ -173,3 +176,35 @@ def test_derive_seed_substreams_are_distinct():
 def test_negative_activity_rejected():
     with pytest.raises(ParameterError):
         ModelParams(tree=TreeParams(10, 2.0), activity=-0.1)
+
+
+# sha256 of write_edge_list output, recorded when every node still drew from
+# a Random object of its own. Reseeding one object must give the same streams.
+PINNED_EDGE_LISTS = [
+    (ModelParams(tree=TreeParams(300, 2.0, seed=11), activity=0.4, seed=5),
+     "b603e05f69a21b0fce8a65b7f5898c5c863771bcb3a850c14cef0d92f892df65"),
+    (ModelParams(tree=TreeParams(300, 2.0, seed=11), activity=2.5, seed=5),
+     "88a59c9da5ccf8a3faf920b6fc9acf5bb365590bbf62674399296fb2e7351ab0"),
+    (ModelParams(tree=TreeParams(300, 3.5, seed=12), activity=1.5, seed=6,
+                 variant=Variant.LEAF_ACTIVE),
+     "f95dffeace380360b32959364b17e8909c38606a8287258c5d5b84701a208941"),
+    (ModelParams(tree=TreeParams(300, 1.5, seed=13), activity=1.7, seed=7,
+                 allow_self_selection=True, include_tree_edges=True),
+     "abed6f47818540111c85536551473b31fdee1ff46e30516e359320eed929c74f"),
+]
+
+
+@pytest.mark.parametrize("params, digest", PINNED_EDGE_LISTS,
+                         ids=["activity-0.4", "activity-2.5", "leaf-active", "tree-edges-self"])
+def test_edge_list_digest_is_pinned(params, digest):
+    buffer = io.StringIO()
+    write_edge_list(generate(params), buffer)
+    assert hashlib.sha256(buffer.getvalue().encode()).hexdigest() == digest
+
+
+def test_given_tree_is_used_and_checked():
+    params = PINNED_EDGE_LISTS[0][0]
+    tree = build_tree(params.tree)
+    assert generate(params, tree=tree).out_edges == generate(params).out_edges
+    with pytest.raises(ParameterError):
+        generate(params, tree=build_tree(TreeParams(299, 2.0, seed=11)))

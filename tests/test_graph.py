@@ -52,6 +52,19 @@ def test_in_degree_examples():
     assert DirectedGraph(3, [(2, 1), (2, 0)]).in_degree == [1, 1, 0]
 
 
+def test_in_degree_of_read_graph_is_counted_from_its_edges():
+    rng = random.Random(5)
+    for n in (1, 2, 9, 40):
+        graph = random_directed_graph(rng, n)
+        buffer = io.StringIO()
+        write_edge_list(graph, buffer)
+        buffer.seek(0)
+        expected = [0] * n
+        for _, dst in graph.edges():
+            expected[dst] += 1
+        assert read_edge_list(buffer).in_degree == expected == graph.in_degree
+
+
 def test_degree_conservation_on_generated_graph():
     graph = generate(ModelParams(tree=TreeParams(10000, 2.0, seed=100), activity=0.4, seed=0))
     assert sum(graph.in_degree) == graph.edge_count

@@ -5,14 +5,15 @@ line, split it at the first comma, collect ``(src, dst)`` tuples, and let
 the validating :class:`DirectedGraph` constructor find range errors,
 self-loops and repeats. The fast reader must return the same graph or fail
 on the same line with the same message. Projection is checked against a
-set-based symmetric closure and the giant component against union-find.
+set-based symmetric closure, and the giant component and its members
+against union-find.
 """
 
 import io
 import random
 from unittest import mock
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hiddentree import (
@@ -21,6 +22,7 @@ from hiddentree import (
     ParameterError,
     UndirectedGraph,
     giant_component,
+    giant_members,
     read_edge_list,
     undirected_projection,
 )
@@ -194,8 +196,14 @@ def test_projection_equals_symmetric_closure(graph):
         for dst in dsts:
             closure[src].add(dst)
             closure[dst].add(src)
+    out_edges = [list(dsts) for dsts in graph.out_edges]
     projection = undirected_projection(graph)
     assert projection.neighbors == [sorted(nbrs) for nbrs in closure]
+    # The projection may share out-lists; neither it nor a component
+    # extraction on it may change them.
+    giant_component(projection)
+    giant_members(projection)
+    assert graph.out_edges == out_edges
 
 
 class UnionFind:
@@ -236,9 +244,7 @@ def component_graphs(draw):
     return UndirectedGraph(n, [(u, v) for u, v in edges if u != v])
 
 
-@graph_settings
-@given(st.one_of(component_graphs(), directed_graphs().map(undirected_projection)))
-def test_giant_component_equals_union_find(graph):
+def union_find_giant(graph):
     n = graph.node_count
     uf = UnionFind(n)
     for u, v in graph.edges():
@@ -248,13 +254,31 @@ def test_giant_component_equals_union_find(graph):
         classes.setdefault(uf.find(node), []).append(node)
     # Each class is keyed by its smallest id: the largest class wins, ties
     # going to the smallest id.
-    expected = min(classes.values(), key=lambda members: (-len(members), members[0]))
+    return min(classes.values(), key=lambda members: (-len(members), members[0]))
 
+
+any_undirected_graphs = st.one_of(component_graphs(), directed_graphs().map(undirected_projection))
+
+
+@graph_settings
+@given(any_undirected_graphs)
+def test_giant_component_equals_union_find(graph):
     members, induced = giant_component(graph)
-    assert members == expected
+    assert members == union_find_giant(graph)
     new_id = {node: i for i, node in enumerate(members)}
     assert induced.neighbors == [
         sorted(new_id[v] for v in graph.neighbors[node]) for node in members
     ]
     relabeled_edges = {(members[u], members[v]) for u, v in induced.edges()}
     assert relabeled_edges == {(u, v) for u, v in graph.edges() if u in new_id}
+
+
+@graph_settings
+@given(any_undirected_graphs)
+@example(UndirectedGraph(5))  # isolated nodes only: node 0 wins the tie
+@example(UndirectedGraph(6, [(4, 5), (5, 3), (0, 2), (2, 1)]))  # tie: {0, 1, 2} wins
+@example(UndirectedGraph(4, [(3, 0), (0, 1), (1, 3), (2, 1)]))  # spans every node
+def test_giant_members_equals_union_find_and_giant_component(graph):
+    members = giant_members(graph)
+    assert members == union_find_giant(graph)
+    assert members == giant_component(graph)[0]
