@@ -31,8 +31,10 @@ from .hidden_tree import HiddenTree, TreeParams, build_tree, lca, path_between, 
 from .metrics import (
     ALL,
     Ccdf,
+    GraphAnalysis,
     MetricsReport,
     PowerLawFit,
+    analyze_graph,
     avg_clustering,
     avg_shortest_path,
     compute_report,
@@ -58,6 +60,7 @@ __all__ = [
     "EmptyDistributionError",
     "ErParams",
     "GenerationTrace",
+    "GraphAnalysis",
     "HiddenTree",
     "InsufficientDataError",
     "MetricsReport",
@@ -67,6 +70,7 @@ __all__ = [
     "TreeParams",
     "UndirectedGraph",
     "Variant",
+    "analyze_graph",
     "avg_clustering",
     "avg_shortest_path",
     "build_tree",

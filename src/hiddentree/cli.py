@@ -39,8 +39,7 @@ from .graph import giant_members, read_edge_list, undirected_projection, write_e
 from .hidden_tree import TreeParams, build_tree, write_tree_dump
 from .metrics import (
     ALL,
-    compute_report,
-    degree_ccdf,
+    analyze_graph,
     fit_power_law_mle,
     format_field,
     format_report,
@@ -405,20 +404,21 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     in_path = Path(args.edge_list)
-    with in_path.open() as fh:
-        graph = read_edge_list(fh)
-    in_degrees = list(graph.in_degree)
-    ccdf = degree_ccdf(in_degrees)
-    report = compute_report(
-        graph,
+
+    def load_graph():
+        with in_path.open() as fh:
+            return read_edge_list(fh)
+
+    analysis = analyze_graph(
+        load_graph,
         fit_kmin=args.fit_kmin,
         fit_kmax=args.fit_kmax,
         path_samples=args.path_samples,
     )
-    values = {"nodes": graph.node_count, "edges": graph.edge_count}
-    values.update(report_to_dict(report))
+    values = {"nodes": analysis.node_count, "edges": analysis.edge_count}
+    values.update(report_to_dict(analysis.report))
     try:
-        values["gamma_mle"] = fit_power_law_mle(in_degrees, args.fit_kmin)
+        values["gamma_mle"] = fit_power_law_mle(analysis.in_degrees, args.fit_kmin)
     except InsufficientDataError:
         values["gamma_mle"] = None
 
@@ -427,7 +427,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     _write_text(Path(f"{stem}.report.txt"), text)
     _write_json(Path(f"{stem}.report.json"), values)
     with _atomic_open(Path(f"{stem}.ccdf.tsv")) as fh:
-        write_ccdf(ccdf, fh)
+        write_ccdf(analysis.ccdf, fh)
     sys.stdout.write(text)
     return EXIT_OK
 
@@ -477,27 +477,32 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             args.variant,
             args.include_tree_edges,
         )
-        graph = generate(params)
         tag = f"{args.kind}={_format_value(value)}_rep{replicate}"
         files = [f"ccdf_{tag}.tsv"]
-        with _atomic_open(out_dir / files[0]) as fh:
-            write_ccdf(degree_ccdf(list(graph.in_degree)), fh)
         if args.keep_edges:
             files.append(f"edges_{tag}.csv")
-            with _atomic_open(out_dir / files[-1]) as fh:
-                write_edge_list(graph, fh)
-        report = compute_report(
-            graph,
+
+        def load_graph():
+            graph = generate(params)
+            if args.keep_edges:
+                with _atomic_open(out_dir / files[1]) as fh:
+                    write_edge_list(graph, fh)
+            return graph
+
+        analysis = analyze_graph(
+            load_graph,
             fit_kmin=args.fit_kmin,
             fit_kmax=args.fit_kmax,
             path_samples=args.path_samples,
         )
+        with _atomic_open(out_dir / files[0]) as fh:
+            write_ccdf(analysis.ccdf, fh)
         return {
             "value": value,
             "replicate": replicate,
             "seed": seed,
             "tree_seed": tree_seed,
-            "report": report_to_dict(report),
+            "report": report_to_dict(analysis.report),
             "files": files,
         }
 

@@ -24,8 +24,10 @@ __all__ = [
     "read_edge_list",
 ]
 
-# Characters of edge-list text parsed per block by read_edge_list.
-_BLOCK_CHARS = 1 << 20
+# Characters of edge-list text parsed per block by read_edge_list. A
+# block's line strings and freshly parsed ints are the reader's transient
+# peak, so blocks are kept small; the per-block work is a few slices.
+_BLOCK_CHARS = 1 << 16
 
 
 class DirectedGraph:
@@ -36,7 +38,7 @@ class DirectedGraph:
     is ever mutated. In-degrees are counted on first read and then kept.
     """
 
-    __slots__ = ("out_edges", "_in_degree")
+    __slots__ = ("out_edges", "_in_degree", "__weakref__")
 
     def __init__(self, node_count: int, edges: Iterable[tuple[int, int]] = ()):
         if node_count < 1:
@@ -93,7 +95,7 @@ class UndirectedGraph:
     directed graph it was projected from, so none is ever mutated.
     """
 
-    __slots__ = ("neighbors",)
+    __slots__ = ("neighbors", "__weakref__")
 
     def __init__(self, node_count: int, edges: Iterable[tuple[int, int]] = ()):
         if node_count < 1:

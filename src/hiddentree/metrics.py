@@ -12,7 +12,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .errors import (
     ConnectivityError,
@@ -26,12 +26,14 @@ __all__ = [
     "Ccdf",
     "PowerLawFit",
     "MetricsReport",
+    "GraphAnalysis",
     "degree_ccdf",
     "default_fit_kmax",
     "fit_power_law",
     "fit_power_law_mle",
     "avg_clustering",
     "avg_shortest_path",
+    "analyze_graph",
     "compute_report",
     "write_ccdf",
     "report_to_dict",
@@ -57,13 +59,6 @@ class Ccdf:
 
     points: tuple[tuple[int, float], ...]
     positive_nodes: int
-
-    def count_at_least(self, k: int) -> int:
-        """Exact number of nodes with degree >= k, for k in ``points``."""
-        for kk, p in self.points:
-            if kk == k:
-                return round(p * self.positive_nodes)
-        raise KeyError(f"degree {k} not present in distribution")
 
 
 @dataclass(frozen=True)
@@ -184,10 +179,14 @@ def avg_clustering(g: UndirectedGraph) -> float:
     Triangles are counted once each by degree-ordered forward intersection
     (Latapy 2008): every edge is oriented from the lower to the higher
     (degree, id) rank, and a triangle is found exactly once, at the
-    intersection of its lowest corner's forward set with its middle
+    intersection of its lowest corner's forward neighbours with its middle
     corner's. Each find credits all three corners. The work is
     O(m * sqrt(m)) instead of the O(sum d^2) of checking every neighbour
     pair, and each per-node count equals that pair count exactly.
+
+    Forward neighbours are kept as lists; only the current lowest
+    corner's are held as a set (compact-forward), so the kernel adds one
+    list slot per edge rather than a hash set per node.
     """
     n = g.node_count
     neighbors = g.neighbors
@@ -196,15 +195,16 @@ def avg_clustering(g: UndirectedGraph) -> float:
     for r, u in enumerate(sorted(range(n), key=degree.__getitem__)):
         rank[u] = r
     forward = [
-        {v for v in nbrs if rank[v] > rank[u]} for u, nbrs in enumerate(neighbors)
+        [v for v in nbrs if rank[v] > rank[u]] for u, nbrs in enumerate(neighbors)
     ]
     triangles = [0] * n
     for u in range(n):
         fwd_u = forward[u]
         if len(fwd_u) < 2:
             continue
+        fwd_set = set(fwd_u)
         for v in fwd_u:
-            common = fwd_u & forward[v]
+            common = fwd_set.intersection(forward[v])
             if common:
                 found = len(common)
                 triangles[u] += found
@@ -296,19 +296,38 @@ def avg_shortest_path(
     return total / (len(sources) * (n - 1))
 
 
-def compute_report(
-    g: DirectedGraph,
+@dataclass(frozen=True)
+class GraphAnalysis:
+    """A :class:`MetricsReport` plus what callers of :func:`analyze_graph`
+    still need of the directed graph once it has been released."""
+
+    report: MetricsReport
+    ccdf: Ccdf
+    in_degrees: list[int]
+    node_count: int
+    edge_count: int
+
+
+def analyze_graph(
+    load_graph: Callable[[], DirectedGraph],
     fit_kmin: int = 2,
     fit_kmax: Optional[int] = None,
     path_samples: Union[int, str] = 200,
     path_seed: int = 0,
-) -> MetricsReport:
-    """Assemble all metrics: CCDF fit on in-degrees, clustering and path
-    length on the giant component of the undirected projection.
+) -> GraphAnalysis:
+    """All metrics of the graph ``load_graph()`` returns, in stages.
 
-    ``fit_kmax=None`` selects the automatic cutoff bound.
+    The CCDF fit is on in-degrees; clustering and path length are on the
+    giant component of the undirected projection. Each stage's input is
+    released once the next stage's exists: the directed graph after the
+    projection, the projection after the giant component. The graph comes
+    from a loader rather than an argument so that no caller's name keeps
+    it alive. ``fit_kmax=None`` selects the automatic cutoff bound.
     """
-    in_degrees = list(g.in_degree)
+    graph = load_graph()
+    node_count = graph.node_count
+    edge_count = graph.edge_count
+    in_degrees = graph.in_degree
     ccdf = degree_ccdf(in_degrees)
     if fit_kmax is None:
         fit_kmax = default_fit_kmax(ccdf)
@@ -317,17 +336,29 @@ def compute_report(
     except InsufficientDataError:
         fit = None
 
-    projection = undirected_projection(g)
-    members, giant = giant_component(projection)
-    clustering = avg_clustering(giant)
-    path_len = avg_shortest_path(giant, path_samples, path_seed)
-    return MetricsReport(
+    projection = undirected_projection(graph)
+    del graph
+    giant = giant_component(projection)[1]
+    del projection
+    report = MetricsReport(
         fit=fit,
-        avg_clustering=clustering,
-        avg_shortest_path=path_len,
-        giant_component_fraction=len(members) / g.node_count,
+        avg_clustering=avg_clustering(giant),
+        avg_shortest_path=avg_shortest_path(giant, path_samples, path_seed),
+        giant_component_fraction=giant.node_count / node_count,
         max_in_degree=max(in_degrees),
     )
+    return GraphAnalysis(report, ccdf, in_degrees, node_count, edge_count)
+
+
+def compute_report(
+    g: DirectedGraph,
+    fit_kmin: int = 2,
+    fit_kmax: Optional[int] = None,
+    path_samples: Union[int, str] = 200,
+    path_seed: int = 0,
+) -> MetricsReport:
+    """The report of :func:`analyze_graph` on a graph the caller keeps."""
+    return analyze_graph(lambda: g, fit_kmin, fit_kmax, path_samples, path_seed).report
 
 
 def write_ccdf(ccdf: Ccdf, stream) -> None:

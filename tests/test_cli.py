@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -16,13 +17,17 @@ from hiddentree import (
     DirectedGraph,
     TreeParams,
     build_tree,
+    compute_report,
+    derive_seed,
     giant_component,
     read_edge_list,
+    report_to_dict,
     undirected_projection,
     write_edge_list,
 )
-from hiddentree import cli
+from hiddentree import cli, metrics
 from hiddentree.cli import main
+from hiddentree.metrics import format_field
 
 
 def run_cli(*argv):
@@ -294,6 +299,85 @@ def test_sweep_nodes_kind_uses_integer_values(tmp_path):
     lines = (out_dir / "summary.tsv").read_text().splitlines()
     assert [line.split("\t")[0] for line in lines[1:]] == ["100", "200"]
     assert (out_dir / "ccdf_nodes=100_rep0.tsv").exists()
+
+
+def test_report_json_summary_row_and_compute_report_agree(tmp_path):
+    # A one-point sweep's replicate 0 is the network `generate` makes
+    # from the sweep's derived seed.
+    seed = derive_seed(5, 0)
+    edge_file = tmp_path / "net.edges"
+    assert run_cli("generate", "--nodes", 600, "--branching", "2.0",
+                   "--activity", 0.4, "--seed", seed, "--out", edge_file) == 0
+    assert run_cli("analyze", edge_file, "--path-samples", 50) == 0
+    out_dir = tmp_path / "sweep"
+    assert run_cli("sweep", "--kind", "activity", "--values", "0.4", "--nodes", 600,
+                   "--branching", "2.0", "--seed", 5, "--path-samples", 50,
+                   "--keep-edges", "--out", out_dir) == 0
+    assert (out_dir / "edges_activity=0.4_rep0.csv").read_bytes() == edge_file.read_bytes()
+    assert ((out_dir / "ccdf_activity=0.4_rep0.tsv").read_bytes()
+            == (tmp_path / "net.ccdf.tsv").read_bytes())
+
+    with edge_file.open() as fh:
+        expected = report_to_dict(compute_report(read_edge_list(fh), path_samples=50))
+    report = json.loads((tmp_path / "net.report.json").read_text())
+    assert {key: report[key] for key in expected} == expected
+    header, row = (out_dir / "summary.tsv").read_text().splitlines()
+    assert dict(zip(header.split("\t"), row.split("\t"))) == {
+        "value": "0.4",
+        "replicate": "0",
+        "gamma": format_field(expected["gamma"]),
+        "r_squared": format_field(expected["r_squared"]),
+        "avg_clustering": format_field(expected["avg_clustering"]),
+        "avg_shortest_path": format_field(expected["avg_shortest_path"]),
+        "max_in_degree": str(expected["max_in_degree"]),
+        "giant_fraction": format_field(expected["giant_component_fraction"]),
+    }
+
+
+@pytest.mark.parametrize("command", ["analyze", "sweep"])
+def test_staged_analysis_releases_each_input(tmp_path, monkeypatch, command):
+    # Each stage must start with its predecessor's input already freed:
+    # the directed graph before the giant component, the projection
+    # before clustering.
+    refs = {}
+    checks = []
+
+    def keep_ref(name, stage):
+        def wrapped(*args, **kwargs):
+            result = stage(*args, **kwargs)
+            refs[name] = weakref.ref(result)
+            return result
+        return wrapped
+
+    def expect_released(name, stage):
+        def wrapped(*args, **kwargs):
+            checks.append((stage.__name__, name, refs.pop(name)() is None))
+            return stage(*args, **kwargs)
+        return wrapped
+
+    edge_file = tmp_path / "net.edges"
+    assert run_cli("generate", "--nodes", 400, "--branching", "2.0",
+                   "--activity", 0.4, "--out", edge_file) == 0
+    monkeypatch.setattr(cli, "read_edge_list", keep_ref("graph", cli.read_edge_list))
+    monkeypatch.setattr(cli, "generate", keep_ref("graph", cli.generate))
+    monkeypatch.setattr(metrics, "undirected_projection",
+                        keep_ref("projection", metrics.undirected_projection))
+    monkeypatch.setattr(metrics, "giant_component",
+                        expect_released("graph", metrics.giant_component))
+    monkeypatch.setattr(metrics, "avg_clustering",
+                        expect_released("projection", metrics.avg_clustering))
+    if command == "analyze":
+        assert run_cli("analyze", edge_file, "--path-samples", 20) == 0
+        runs = 1
+    else:
+        assert run_cli("sweep", "--kind", "activity", "--values", "0.2,0.4",
+                       "--nodes", 400, "--branching", "2.0", "--path-samples", 20,
+                       "--keep-edges", "--out", tmp_path / "sweep") == 0
+        runs = 2
+    assert checks == [
+        ("giant_component", "graph", True),
+        ("avg_clustering", "projection", True),
+    ] * runs
 
 
 def test_sweep_usage_errors(tmp_path):

@@ -169,7 +169,7 @@ def edge_list_texts(draw):
 
 
 @graph_settings
-@given(edge_list_texts(), st.sampled_from([1, 7, 64, 1 << 20]))
+@given(edge_list_texts(), st.sampled_from([1, 7, 64, 1 << 20, graph_module._BLOCK_CHARS]))
 def test_reader_matches_line_by_line_oracle(text, block_chars):
     expected = outcome(oracle_read_edge_list, text)
     # Small blocks put block boundaries between any two lines.

@@ -75,8 +75,8 @@ def test_ccdf_invariants_and_count_round_trip():
     assert all(a >= b for a, b in zip(ps, ps[1:]))
     assert ps[0] == 1.0
     assert all(p > 0 for p in ps)
-    for k, _ in ccdf.points:
-        assert ccdf.count_at_least(k) == sum(1 for d in degrees if d >= k)
+    for k, p in ccdf.points:
+        assert round(p * ccdf.positive_nodes) == sum(1 for d in degrees if d >= k)
 
 
 def test_fit_recovers_exact_power_law():
