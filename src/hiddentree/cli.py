@@ -21,8 +21,8 @@ import json
 import os
 import sys
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, TextIO
 
@@ -55,6 +55,16 @@ EXIT_IO = 2
 EXIT_ANALYSIS = 3
 
 _SWEEP_KINDS = ("nodes", "branching", "activity")
+
+# summary.tsv column after value and replicate -> report_to_dict key
+_SUMMARY_COLUMNS = {
+    "gamma": "gamma",
+    "r_squared": "r_squared",
+    "avg_clustering": "avg_clustering",
+    "avg_shortest_path": "avg_shortest_path",
+    "max_in_degree": "max_in_degree",
+    "giant_fraction": "giant_component_fraction",
+}
 
 _BOOL_WORDS = {
     "true": True,
@@ -157,7 +167,7 @@ def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
+def build_parser() -> _Parser:
     parser = _Parser(
         prog="hiddentree",
         description="Generate tree-closure networks and measure their degree "
@@ -165,7 +175,6 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subcommands = parser.add_subparsers(dest="command", required=True, metavar="command")
-    subs: dict[str, argparse.ArgumentParser] = {}
 
     p = subcommands.add_parser(
         "generate", help="generate one network and write its edge list"
@@ -175,7 +184,6 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     p.add_argument("--tree-dump", metavar="PATH", help="also write node/parent/depth lines")
     p.add_argument("--out", metavar="PATH", help="edge-list output path")
     p.set_defaults(handler=_cmd_generate)
-    subs["generate"] = p
 
     p = subcommands.add_parser(
         "analyze", help="compute metrics and CCDF data for an edge-list file"
@@ -189,7 +197,6 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
         help="output stem for .report.txt/.report.json/.ccdf.tsv (default: input stem)",
     )
     p.set_defaults(handler=_cmd_analyze)
-    subs["analyze"] = p
 
     p = subcommands.add_parser(
         "sweep", help="run one parameter sweep with replicates into a directory"
@@ -209,7 +216,7 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     )
     _add_model_flags(p)
     _add_fit_flags(p)
-    p.add_argument("--jobs", type=int, default=1, help="worker threads for sweep points")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes for sweep points")
     p.add_argument(
         "--keep-edges",
         action="store_true",
@@ -217,7 +224,6 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     )
     p.add_argument("--out", metavar="DIR", help="output directory")
     p.set_defaults(handler=_cmd_sweep)
-    subs["sweep"] = p
 
     p = subcommands.add_parser(
         "export-dot", help="write a component of an edge-list file as undirected DOT"
@@ -232,9 +238,8 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     )
     p.add_argument("--out", metavar="PATH", help="DOT output path (default: input stem + .dot)")
     p.set_defaults(handler=_cmd_export_dot)
-    subs["export-dot"] = p
 
-    return parser, subs
+    return parser
 
 
 def _read_config(path: Path) -> dict[str, str]:
@@ -251,38 +256,24 @@ def _read_config(path: Path) -> dict[str, str]:
     return entries
 
 
-def _convert_config_value(action: argparse.Action, raw: str):
-    if isinstance(action, argparse._StoreTrueAction):
-        word = raw.lower()
-        if word not in _BOOL_WORDS:
-            raise ParameterError(
-                f"config key {action.dest!r} expects a boolean, got {raw!r}"
-            )
-        return _BOOL_WORDS[word]
-    value = raw
-    if action.type is not None:
-        try:
-            value = action.type(raw)
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise ParameterError(f"config key {action.dest!r}: {exc}") from None
-    if action.choices is not None and value not in action.choices:
-        raise ParameterError(
-            f"config key {action.dest!r} must be one of {tuple(action.choices)}"
-        )
-    return value
-
-
-def _apply_config(sub: argparse.ArgumentParser, config_path: str) -> None:
-    """Install config-file entries as subcommand defaults; CLI flags still win."""
-    entries = _read_config(Path(config_path))
-    actions = {action.dest: action for action in sub._actions}
-    converted = {}
-    for key, raw in entries.items():
-        action = actions.get(key)
-        if action is None or key in ("help", "config") or not action.option_strings:
+def _config_tokens(args: argparse.Namespace) -> list[str]:
+    """Turn the entries of ``args.config`` into flag tokens for the
+    subcommand ``args`` was parsed for; argparse converts and checks
+    their values when the tokens are parsed."""
+    tokens = []
+    for key, raw in _read_config(Path(args.config)).items():
+        if key in ("command", "handler", "config", "edge_list") or key not in vars(args):
             raise ParameterError(f"unknown config key {key!r}")
-        converted[key] = _convert_config_value(action, raw)
-    sub.set_defaults(**converted)
+        flag = "--" + key.replace("_", "-")
+        if isinstance(getattr(args, key), bool):
+            word = raw.lower()
+            if word not in _BOOL_WORDS:
+                raise ParameterError(f"config key {key!r} expects a boolean, got {raw!r}")
+            if _BOOL_WORDS[word]:
+                tokens.append(flag)
+        else:
+            tokens.append(f"{flag}={raw}")
+    return tokens
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:
@@ -297,21 +288,20 @@ def _tree_seed(args: argparse.Namespace) -> int:
     return args.seed if args.tree_seed is None else args.tree_seed
 
 
-def _build_model_params(
+def _model_params(
+    args: argparse.Namespace,
+    seed: int,
+    tree_seed: int,
     nodes: int,
     branching: float,
     activity: float,
-    seed: int,
-    tree_seed: int,
-    variant: str,
-    include_tree_edges: bool,
 ) -> ModelParams:
     return ModelParams(
         tree=TreeParams(node_count=nodes, branching=branching, seed=tree_seed),
         activity=activity,
         seed=seed,
-        variant=Variant(variant),
-        include_tree_edges=include_tree_edges,
+        variant=Variant(args.variant),
+        include_tree_edges=args.include_tree_edges,
     )
 
 
@@ -340,7 +330,9 @@ def _sha256(path: Path) -> str:
 def _atomic_open(path: Path) -> Iterator[TextIO]:
     """Open a temp file beside ``path`` for writing; it replaces ``path``
     only once the block completes, and is removed if the block fails, so
-    no output is ever seen half written."""
+    no output is ever seen half written. The temp name carries the process
+    id, which is enough: each process writes from one thread, and no two
+    sweep runs share a tag, so no two writers share a path."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with tmp.open("w") as fh:
@@ -368,14 +360,8 @@ def _format_value(value) -> str:
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     _require(args, "nodes", "branching", "activity", "out")
-    params = _build_model_params(
-        args.nodes,
-        args.branching,
-        args.activity,
-        args.seed,
-        _tree_seed(args),
-        args.variant,
-        args.include_tree_edges,
+    params = _model_params(
+        args, args.seed, _tree_seed(args), args.nodes, args.branching, args.activity
     )
     tree = build_tree(params.tree)
     graph = generate(params, tree=tree)
@@ -432,6 +418,38 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _run_point(
+    params: ModelParams,
+    tag: str,
+    out_dir: Path,
+    keep_edges: bool,
+    fit_kmin: int,
+    fit_kmax: Optional[int],
+    path_samples,
+) -> tuple[dict, list[str]]:
+    """Generate and analyze one sweep run, and write its CCDF (and, with
+    ``keep_edges``, its edge list) into ``out_dir``. Returns the run's
+    report as a dict and the names of the files written. It is a module
+    function of plain arguments, so a worker process can run it."""
+    files = [f"ccdf_{tag}.tsv"]
+    if keep_edges:
+        files.append(f"edges_{tag}.csv")
+
+    def load_graph():
+        graph = generate(params)
+        if keep_edges:
+            with _atomic_open(out_dir / files[1]) as fh:
+                write_edge_list(graph, fh)
+        return graph
+
+    analysis = analyze_graph(
+        load_graph, fit_kmin=fit_kmin, fit_kmax=fit_kmax, path_samples=path_samples
+    )
+    with _atomic_open(out_dir / files[0]) as fh:
+        write_ccdf(analysis.ccdf, fh)
+    return report_to_dict(analysis.report), files
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     _require(args, "kind", "values", "out")
     if args.replicates < 1:
@@ -456,95 +474,60 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ParameterError(
             f"sweep values for --kind {args.kind} must be numeric: {args.values}"
         ) from None
+    # A run's files are named by its printed value, so two values that
+    # print alike would write the same files.
+    printed = [_format_value(value) for value in values]
+    for text in printed:
+        if printed.count(text) > 1:
+            raise ParameterError(f"sweep value {text} is given more than once in --values")
+
+    # Every run's parameters are checked before any file is written.
+    base_tree_seed = _tree_seed(args)
+    runs = []
+    for value in sorted(values):
+        point = dict(fixed, **{args.kind: value})
+        for replicate in range(args.replicates):
+            seed = derive_seed(args.seed, replicate)
+            tree_seed = derive_seed(base_tree_seed, replicate)
+            params = _model_params(args, seed, tree_seed, **point)
+            runs.append((value, replicate, params))
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = out_dir / "manifest.json"
     manifest_path.unlink(missing_ok=True)
-    base_tree_seed = _tree_seed(args)
 
-    def run_point(value, replicate: int) -> dict:
-        seed = derive_seed(args.seed, replicate)
-        tree_seed = derive_seed(base_tree_seed, replicate)
-        point = dict(fixed)
-        point[args.kind] = value
-        params = _build_model_params(
-            point["nodes"],
-            point["branching"],
-            point["activity"],
-            seed,
-            tree_seed,
-            args.variant,
-            args.include_tree_edges,
-        )
-        tag = f"{args.kind}={_format_value(value)}_rep{replicate}"
-        files = [f"ccdf_{tag}.tsv"]
-        if args.keep_edges:
-            files.append(f"edges_{tag}.csv")
-
-        def load_graph():
-            graph = generate(params)
-            if args.keep_edges:
-                with _atomic_open(out_dir / files[1]) as fh:
-                    write_edge_list(graph, fh)
-            return graph
-
-        analysis = analyze_graph(
-            load_graph,
-            fit_kmin=args.fit_kmin,
-            fit_kmax=args.fit_kmax,
-            path_samples=args.path_samples,
-        )
-        with _atomic_open(out_dir / files[0]) as fh:
-            write_ccdf(analysis.ccdf, fh)
-        return {
-            "value": value,
-            "replicate": replicate,
-            "seed": seed,
-            "tree_seed": tree_seed,
-            "report": report_to_dict(analysis.report),
-            "files": files,
-        }
-
-    points = [(value, r) for value in values for r in range(args.replicates)]
-    if args.jobs == 1:
-        results = [run_point(value, r) for value, r in points]
+    run_point = partial(
+        _run_point,
+        out_dir=out_dir,
+        keep_edges=args.keep_edges,
+        fit_kmin=args.fit_kmin,
+        fit_kmax=args.fit_kmax,
+        path_samples=args.path_samples,
+    )
+    all_params = [params for _, _, params in runs]
+    tags = [f"{args.kind}={_format_value(value)}_rep{r}" for value, r, _ in runs]
+    workers = min(args.jobs, len(runs))
+    if workers == 1:
+        results = list(map(run_point, all_params, tags))
     else:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(lambda point: run_point(*point), points))
-    results.sort(key=lambda row: (row["value"], row["replicate"]))
+        # Processes, not threads: a run is pure-Python work under the GIL.
+        # Spawned workers start from a fresh import on every platform.
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
 
-    header = [
-        "value",
-        "replicate",
-        "gamma",
-        "r_squared",
-        "avg_clustering",
-        "avg_shortest_path",
-        "max_in_degree",
-        "giant_fraction",
-    ]
-    lines = ["\t".join(header)]
-    for row in results:
-        report = row["report"]
-        lines.append(
-            "\t".join(
-                [
-                    _format_value(row["value"]),
-                    str(row["replicate"]),
-                    format_field(report["gamma"]),
-                    format_field(report["r_squared"]),
-                    format_field(report["avg_clustering"]),
-                    format_field(report["avg_shortest_path"]),
-                    str(report["max_in_degree"]),
-                    format_field(report["giant_component_fraction"]),
-                ]
-            )
-        )
+        spawn = get_context("spawn")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
+            results = list(pool.map(run_point, all_params, tags))
+
+    lines = ["\t".join(["value", "replicate", *_SUMMARY_COLUMNS])]
+    for (value, replicate, _), (report, _) in zip(runs, results):
+        fields = [format_field(report[key]) for key in _SUMMARY_COLUMNS.values()]
+        lines.append("\t".join([_format_value(value), str(replicate), *fields]))
     summary_path = out_dir / "summary.tsv"
     _write_text(summary_path, "\n".join(lines) + "\n")
 
-    file_names = sorted(name for row in results for name in row["files"])
+    file_names = sorted(name for _, files in results for name in files)
     file_names.append(summary_path.name)
     manifest = {
         "command": "sweep",
@@ -564,12 +547,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         },
         "runs": [
             {
-                "value": row["value"],
-                "replicate": row["replicate"],
-                "seed": row["seed"],
-                "tree_seed": row["tree_seed"],
+                "value": value,
+                "replicate": replicate,
+                "seed": params.seed,
+                "tree_seed": params.tree.seed,
             }
-            for row in results
+            for value, replicate, params in runs
         ],
         "outputs": {name: _sha256(out_dir / name) for name in file_names},
     }
@@ -605,12 +588,15 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser, subs = build_parser()
+    parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
-            _apply_config(subs[args.command], args.config)
-            args = parser.parse_args(argv)
+            # Config entries go right after the subcommand, so the flags
+            # given after them on the command line win.
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _config_tokens(args) + argv[at:])
         return args.handler(args)
     except SystemExit as exc:
         # argparse --help/--version (0) and usage errors (1) land here.

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: outputs, config handling, exit codes."""
 
+import concurrent.futures
 import hashlib
 import io
 import json
@@ -7,10 +8,13 @@ import random
 import re
 import subprocess
 import sys
+import tempfile
 import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hiddentree
 from hiddentree import (
@@ -238,15 +242,56 @@ def test_config_file_supplies_defaults_and_flags_override(tmp_path):
     params = read_manifest(tmp_path / "cfg.edges.manifest.json")["params"]
     assert params["nodes"] == 300
     assert params["activity"] == 0.2
+    assert params["seed"] == 9
     assert params["include_tree_edges"] is True
 
+    assert run_cli("generate", "--config", config, "--seed", 4) == 0
+    params = read_manifest(tmp_path / "cfg.edges.manifest.json")["params"]
+    assert (params["seed"], params["tree_seed"], params["activity"]) == (4, 4, 0.1)
 
-def test_config_file_errors(tmp_path):
+    config.write_text(
+        "nodes = 300\nbranching = 2.0\nactivity = 0.1\nseed = -3\n"
+        f"include_tree_edges = no\nout = {out}\n"
+    )
+    assert run_cli("generate", "--config", config) == 0
+    params = read_manifest(tmp_path / "cfg.edges.manifest.json")["params"]
+    assert params["seed"] == -3
+    assert params["include_tree_edges"] is False
+
+    # The README's example config runs as it is printed there.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```\n(# sweep\.conf\n.*?)```", readme, flags=re.S).group(1)
+    config.write_text(block)
+    out_dir = tmp_path / "sweep"
+    assert run_cli("sweep", "--config", config, "--out", out_dir) == 0
+    manifest = read_manifest(out_dir / "manifest.json")
+    assert manifest["config"]["kind"] == "activity"
+    assert manifest["config"]["values"] == [0.2, 0.4]
+    assert len(manifest["runs"]) == 4
+
+
+def test_config_file_errors(tmp_path, capsys):
+    edge_file = tmp_path / "triangle.edges"
+    write_triangle(edge_file)
     config = tmp_path / "bad.cfg"
-    config.write_text("no_such_key = 1\n")
-    assert run_cli("generate", "--config", config) == 1
-    config.write_text("just a line without equals\n")
-    assert run_cli("generate", "--config", config) == 1
+    cases = [
+        ("generate", "no_such_key = 1", "unknown config key 'no_such_key'"),
+        ("generate", "node = 10", "unknown config key 'node'"),
+        ("generate", "help = true", "unknown config key 'help'"),
+        ("generate", "config = other.cfg", "unknown config key 'config'"),
+        ("analyze", "edge_list = other.edges", "unknown config key 'edge_list'"),
+        ("generate", "include-tree-edges = maybe",
+         "config key 'include_tree_edges' expects a boolean, got 'maybe'"),
+        ("generate", "just a line without equals", "line 1: expected key=value"),
+        # Only the exit code is pinned: argparse words these.
+        ("generate", "nodes = ten", ""),
+        ("generate", "variant = odd", ""),
+    ]
+    for command, text, message in cases:
+        config.write_text(text + "\n")
+        argv = [command, edge_file] if command == "analyze" else [command]
+        assert run_cli(*argv, "--config", config) == 1, text
+        assert message in capsys.readouterr().err, text
     assert run_cli("generate", "--config", tmp_path / "missing.cfg") == 2
 
 
@@ -278,18 +323,106 @@ def test_sweep_outputs_and_manifest(tmp_path):
         assert digest == f"sha256:{recomputed}"
 
 
-def test_sweep_jobs_do_not_change_outputs(tmp_path):
-    base = ("sweep", "--kind", "branching", "--values", "1.5,2.5",
-            "--replicates", 2, "--nodes", 300, "--activity", 0.4,
-            "--seed", 2, "--path-samples", 50)
-    dir_serial = tmp_path / "serial"
-    dir_threads = tmp_path / "threads"
-    assert run_cli(*base, "--jobs", 1, "--out", dir_serial) == 0
-    assert run_cli(*base, "--jobs", 4, "--out", dir_threads) == 0
-    names = sorted(path.name for path in dir_serial.iterdir())
-    assert names == sorted(path.name for path in dir_threads.iterdir())
-    for name in names:
-        assert (dir_serial / name).read_bytes() == (dir_threads / name).read_bytes()
+SWEPT_VALUES = {
+    "nodes": st.integers(100, 400).map(str),
+    "branching": st.sampled_from(["1.5", "2", "2.5", "4"]),
+    "activity": st.sampled_from(["0.1", "0.4", "1", "2.5"]),
+}
+
+
+@st.composite
+def sweep_cases(draw):
+    kind = draw(st.sampled_from(sorted(SWEPT_VALUES)))
+    values = draw(st.lists(SWEPT_VALUES[kind], min_size=1, max_size=3, unique=True))
+    return (kind, ",".join(values), draw(st.integers(1, 2)), draw(st.booleans()),
+            draw(st.integers(2, 3)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=5)
+@given(sweep_cases())
+@example(("branching", "1.5,2.5", 2, False, 4))
+def test_sweep_jobs_do_not_change_outputs(case):
+    kind, values, replicates, keep_edges, jobs = case
+    fixed = {"nodes": 300, "branching": "2.0", "activity": 0.4}
+    del fixed[kind]
+    base = ["sweep", "--kind", kind, "--values", values, "--replicates", replicates,
+            "--seed", 2, "--path-samples", 50]
+    for name, value in fixed.items():
+        base += [f"--{name}", value]
+    if keep_edges:
+        base.append("--keep-edges")
+    with tempfile.TemporaryDirectory() as tmp:
+        dir_serial = Path(tmp) / "serial"
+        dir_workers = Path(tmp) / "workers"
+        assert run_cli(*base, "--jobs", 1, "--out", dir_serial) == 0
+        assert run_cli(*base, "--jobs", jobs, "--out", dir_workers) == 0
+        names = sorted(path.name for path in dir_serial.iterdir())
+        assert names == sorted(path.name for path in dir_workers.iterdir())
+        assert any(name.startswith("edges_") for name in names) == keep_edges
+        for name in names:
+            assert (dir_serial / name).read_bytes() == (dir_workers / name).read_bytes(), name
+
+
+class RecordingPool:
+    """Stands in for ``ProcessPoolExecutor``: records what it is asked
+    for and runs the calls in this process."""
+
+    requests = []
+
+    def __init__(self, max_workers, mp_context=None):
+        self.requests.append((max_workers, mp_context.get_start_method()))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_sweep_pool_is_bounded_by_the_runs(tmp_path, monkeypatch):
+    monkeypatch.setattr(RecordingPool, "requests", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    base = ("sweep", "--kind", "activity", "--nodes", 200, "--branching", "2.0",
+            "--path-samples", 20)
+    assert run_cli(*base, "--values", "0.2,0.4", "--jobs", 64, "--out", tmp_path / "a") == 0
+    assert RecordingPool.requests == [(2, "spawn")]
+    assert run_cli(*base, "--values", "0.2", "--jobs", 4, "--out", tmp_path / "b") == 0
+    assert run_cli(*base, "--values", "0.2,0.4", "--out", tmp_path / "c") == 0
+    assert RecordingPool.requests == [(2, "spawn")]
+    assert (tmp_path / "a" / "summary.tsv").read_bytes() == (
+        tmp_path / "c" / "summary.tsv").read_bytes()
+
+
+@pytest.mark.parametrize("values, repeated", [
+    ("0.4,0.4,0.4,0.4", "0.4"), ("0.4,0.40", "0.4"), ("0.2,0.4,2e-1", "0.2")])
+@pytest.mark.parametrize("jobs", [1, 4])
+def test_sweep_rejects_repeated_values(tmp_path, capsys, values, repeated, jobs):
+    out_dir = tmp_path / "sweep"
+    assert run_cli("sweep", "--kind", "activity", "--values", values, "--nodes", 200,
+                   "--branching", "2.0", "--jobs", jobs, "--out", out_dir) == 1
+    assert f"sweep value {repeated} is given more than once" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_sweep_failure_in_a_worker_writes_no_summary_or_manifest(tmp_path, capsys):
+    out_dir = tmp_path / "sweep"
+    assert run_cli("sweep", "--kind", "activity", "--values", "0.4,0", "--nodes", 200,
+                   "--branching", "2.0", "--path-samples", 20, "--jobs", 2,
+                   "--out", out_dir) == 3
+    assert "all degrees are zero" in capsys.readouterr().err
+    assert not (out_dir / "summary.tsv").exists()
+    assert not (out_dir / "manifest.json").exists()
+
+
+def test_sweep_invalid_value_writes_nothing(tmp_path):
+    # Every run's parameters are checked before the first run starts.
+    out_dir = tmp_path / "sweep"
+    assert run_cli("sweep", "--kind", "branching", "--values", "2.0,0.5", "--nodes", 200,
+                   "--activity", 0.4, "--path-samples", 20, "--out", out_dir) == 1
+    assert not out_dir.exists()
 
 
 def test_sweep_nodes_kind_uses_integer_values(tmp_path):
@@ -461,9 +594,11 @@ def test_leaf_variant_via_cli(tmp_path):
     assert {src for src, _ in graph.edges()} <= leaves
 
 
-def test_runtime_imports_only_the_standard_library():
-    # Only modules loaded by the import itself count: the interpreter's
-    # start-up hooks may load third-party modules of their own.
+def modules_loaded_by_import():
+    """Top-level names of the modules ``import hiddentree, hiddentree.cli``
+    loads in a fresh interpreter. Only modules loaded by the import itself
+    count: the interpreter's start-up hooks may load third-party modules
+    of their own."""
     src = Path(hiddentree.__file__).resolve().parents[1]
     code = (
         "import json, sys\n"
@@ -474,10 +609,20 @@ def test_runtime_imports_only_the_standard_library():
     )
     result = subprocess.run([sys.executable, "-c", code],
                             capture_output=True, text=True, check=True)
-    top_level = {name.partition(".")[0] for name in json.loads(result.stdout)}
+    return {name.partition(".")[0] for name in json.loads(result.stdout)}
+
+
+def test_runtime_imports_only_the_standard_library():
+    top_level = modules_loaded_by_import()
     assert "hiddentree" in top_level
     allowed = set(sys.stdlib_module_names) | {"hiddentree"}
     assert sorted(top_level - allowed) == []
+
+
+def test_import_loads_no_worker_pool_machinery():
+    # The process pool is imported only when a sweep runs more than one
+    # worker, so the cold start of every command stays lean.
+    assert {"concurrent", "multiprocessing"} & modules_loaded_by_import() == set()
 
 
 def test_module_entry_point_runs():
