@@ -37,15 +37,7 @@ from .errors import (
 from .generator import ModelParams, Variant, derive_seed, generate
 from .graph import giant_members, read_edge_list, undirected_projection, write_edge_list
 from .hidden_tree import TreeParams, build_tree, write_tree_dump
-from .metrics import (
-    ALL,
-    analyze_graph,
-    fit_power_law_mle,
-    format_field,
-    format_report,
-    report_to_dict,
-    write_ccdf,
-)
+from .metrics import ALL, analyze_graph, format_field, format_report, write_ccdf
 
 __all__ = ["main", "run", "build_parser"]
 
@@ -56,7 +48,7 @@ EXIT_ANALYSIS = 3
 
 _SWEEP_KINDS = ("nodes", "branching", "activity")
 
-# summary.tsv column after value and replicate -> report_to_dict key
+# summary.tsv column after value and replicate -> report record key
 _SUMMARY_COLUMNS = {
     "gamma": "gamma",
     "r_squared": "r_squared",
@@ -84,18 +76,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _path_samples_arg(text: str):
-    if text == "all":
-        return ALL
+def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer or 'all', got {text!r}"
-        ) from None
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if value < 1:
-        raise argparse.ArgumentTypeError("path samples must be >= 1")
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def _path_samples_arg(text: str):
+    return ALL if text == "all" else _positive_int(text)
 
 
 def _fit_kmax_arg(text: str):
@@ -149,7 +141,7 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--fit-kmin", type=int, default=2, help="lower degree bound of the power-law fit"
+        "--fit-kmin", type=_positive_int, default=2, help="lower degree bound of the power-law fit"
     )
     parser.add_argument(
         "--fit-kmax",
@@ -212,11 +204,13 @@ def build_parser() -> _Parser:
         help="comma-separated list of swept values",
     )
     p.add_argument(
-        "--replicates", type=int, default=1, help="independent runs per swept value"
+        "--replicates", type=_positive_int, default=1, help="independent runs per swept value"
     )
     _add_model_flags(p)
     _add_fit_flags(p)
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for sweep points")
+    p.add_argument(
+        "--jobs", type=_positive_int, default=1, help="worker processes for sweep points"
+    )
     p.add_argument(
         "--keep-edges",
         action="store_true",
@@ -401,17 +395,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         fit_kmax=args.fit_kmax,
         path_samples=args.path_samples,
     )
-    values = {"nodes": analysis.node_count, "edges": analysis.edge_count}
-    values.update(report_to_dict(analysis.report))
-    try:
-        values["gamma_mle"] = fit_power_law_mle(analysis.in_degrees, args.fit_kmin)
-    except InsufficientDataError:
-        values["gamma_mle"] = None
-
     stem = Path(args.out) if args.out else in_path.with_suffix("")
-    text = format_report(values)
+    text = format_report(analysis.record)
     _write_text(Path(f"{stem}.report.txt"), text)
-    _write_json(Path(f"{stem}.report.json"), values)
+    _write_json(Path(f"{stem}.report.json"), analysis.record)
     with _atomic_open(Path(f"{stem}.ccdf.tsv")) as fh:
         write_ccdf(analysis.ccdf, fh)
     sys.stdout.write(text)
@@ -429,7 +416,7 @@ def _run_point(
 ) -> tuple[dict, list[str]]:
     """Generate and analyze one sweep run, and write its CCDF (and, with
     ``keep_edges``, its edge list) into ``out_dir``. Returns the run's
-    report as a dict and the names of the files written. It is a module
+    report record and the names of the files written. It is a module
     function of plain arguments, so a worker process can run it."""
     files = [f"ccdf_{tag}.tsv"]
     if keep_edges:
@@ -447,15 +434,11 @@ def _run_point(
     )
     with _atomic_open(out_dir / files[0]) as fh:
         write_ccdf(analysis.ccdf, fh)
-    return report_to_dict(analysis.report), files
+    return analysis.record, files
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     _require(args, "kind", "values", "out")
-    if args.replicates < 1:
-        raise ParameterError(f"replicates must be >= 1, got {args.replicates}")
-    if args.jobs < 1:
-        raise ParameterError(f"jobs must be >= 1, got {args.jobs}")
 
     fixed = {"nodes": args.nodes, "branching": args.branching, "activity": args.activity}
     if fixed[args.kind] is not None:
@@ -521,8 +504,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             results = list(pool.map(run_point, all_params, tags))
 
     lines = ["\t".join(["value", "replicate", *_SUMMARY_COLUMNS])]
-    for (value, replicate, _), (report, _) in zip(runs, results):
-        fields = [format_field(report[key]) for key in _SUMMARY_COLUMNS.values()]
+    for (value, replicate, _), (record, _) in zip(runs, results):
+        fields = [format_field(record[key]) for key in _SUMMARY_COLUMNS.values()]
         lines.append("\t".join([_format_value(value), str(replicate), *fields]))
     summary_path = out_dir / "summary.tsv"
     _write_text(summary_path, "\n".join(lines) + "\n")

@@ -24,5 +24,8 @@ class EdgeListFormatError(ValueError):
     """
 
     def __init__(self, line_number: int, message: str):
-        super().__init__(f"line {line_number}: {message}")
+        super().__init__(line_number, message)
         self.line_number = line_number
+
+    def __str__(self) -> str:
+        return f"line {self.args[0]}: {self.args[1]}"

@@ -14,6 +14,7 @@ generated edge set is identical under any processing order.
 from __future__ import annotations
 
 import enum
+import math
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -72,8 +73,8 @@ class ModelParams:
     include_tree_edges: bool = False
 
     def __post_init__(self):
-        if self.activity < 0:
-            raise ParameterError(f"activity must be >= 0, got {self.activity}")
+        if not 0 <= self.activity < math.inf:
+            raise ParameterError(f"activity must be finite and >= 0, got {self.activity}")
 
 
 @dataclass(frozen=True)

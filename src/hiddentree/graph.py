@@ -41,14 +41,12 @@ class DirectedGraph:
     __slots__ = ("out_edges", "_in_degree", "__weakref__")
 
     def __init__(self, node_count: int, edges: Iterable[tuple[int, int]] = ()):
-        if node_count < 1:
-            raise ParameterError(f"node_count must be >= 1, got {node_count}")
+        edges = list(edges)
+        error = _first_bad_edge(node_count, edges)[1]
+        if error:
+            raise ParameterError(error)
         out: list[set[int]] = [set() for _ in range(node_count)]
         for src, dst in edges:
-            if not (0 <= src < node_count and 0 <= dst < node_count):
-                raise ParameterError(f"edge ({src}, {dst}) references node out of range")
-            if src == dst:
-                raise ParameterError(f"self-loop ({src}, {dst}) not allowed")
             out[src].add(dst)
         self.out_edges = [sorted(dsts) for dsts in out]
         self._in_degree = None
@@ -92,23 +90,14 @@ class UndirectedGraph:
     """Symmetric deduplicated adjacency over nodes 0..N-1; no self-loops.
 
     Neighbour lists are sorted ascending. A list may be shared with the
-    directed graph it was projected from, so none is ever mutated.
+    directed graph it was projected from, so none is ever mutated. Built
+    from edges, it is the projection of ``DirectedGraph(node_count, edges)``.
     """
 
     __slots__ = ("neighbors", "__weakref__")
 
     def __init__(self, node_count: int, edges: Iterable[tuple[int, int]] = ()):
-        if node_count < 1:
-            raise ParameterError(f"node_count must be >= 1, got {node_count}")
-        nbr: list[set[int]] = [set() for _ in range(node_count)]
-        for u, v in edges:
-            if not (0 <= u < node_count and 0 <= v < node_count):
-                raise ParameterError(f"edge ({u}, {v}) references node out of range")
-            if u == v:
-                raise ParameterError(f"self-loop ({u}, {v}) not allowed")
-            nbr[u].add(v)
-            nbr[v].add(u)
-        self.neighbors = [sorted(s) for s in nbr]
+        self.neighbors = undirected_projection(DirectedGraph(node_count, edges)).neighbors
 
     @classmethod
     def _adopt(cls, neighbors: list[list[int]]) -> "UndirectedGraph":
@@ -259,18 +248,11 @@ def read_edge_list(stream: TextIO) -> DirectedGraph:
             1, f"header says {edge_count} edges, file has {len(srcs)}"
         )
     # Edges are validated in bulk, their ranges block by block; only a
-    # failure pays for finding the line, and the validating constructor
-    # words the error.
+    # failure pays for finding the line.
     if node_count < 1 or not all_ids or any(map(eq, srcs, dsts)):
-        try:
-            DirectedGraph(node_count, zip(srcs, dsts))
-        except ParameterError as exc:
-            line_no = 1  # the header's node count itself is invalid
-            for i, (src, dst) in enumerate(zip(srcs, dsts)):
-                if src == dst or not (0 <= src < node_count and 0 <= dst < node_count):
-                    line_no = _edge_line(i, blank_lines)
-                    break
-            raise EdgeListFormatError(line_no, str(exc)) from None
+        index, error = _first_bad_edge(node_count, zip(srcs, dsts))
+        # With no bad edge (index -1) the header's node count is at fault: line 1.
+        raise EdgeListFormatError(_edge_line(index, blank_lines), error)
 
     out_edges: list[list[int]] = [[] for _ in range(node_count)]
     for src, dst in zip(srcs, dsts):
@@ -290,6 +272,24 @@ def read_edge_list(stream: TextIO) -> DirectedGraph:
                     f"duplicate edge {edge}, first on line {_edge_line(first, blank_lines)}",
                 )
     return DirectedGraph._adopt(out_edges)
+
+
+def _first_bad_edge(node_count: int, edges: Iterable[tuple[int, int]]) -> tuple[int, str]:
+    """The index of the first edge out of range or a self-loop (-1 if
+    none) and the error :class:`DirectedGraph` raises for these edges (""
+    if none). A node count below 1 is the error whatever the edges."""
+    for i, (src, dst) in enumerate(edges):
+        if not (0 <= src < node_count and 0 <= dst < node_count):
+            error = f"edge ({src}, {dst}) references node out of range"
+            break
+        if src == dst:
+            error = f"self-loop ({src}, {dst}) not allowed"
+            break
+    else:
+        i, error = -1, ""
+    if node_count < 1:
+        error = f"node_count must be >= 1, got {node_count}"
+    return i, error
 
 
 def _share_ids(values: list[int], start: int, node_ids: list[int], node_count: int) -> bool:

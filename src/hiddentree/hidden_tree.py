@@ -31,9 +31,9 @@ class TreeParams:
     def __post_init__(self):
         if self.node_count < 1:
             raise ParameterError(f"node_count must be >= 1, got {self.node_count}")
-        if self.branching < 1:
+        if not 1 <= self.branching < math.inf:
             raise ParameterError(
-                f"branching must be >= 1 to span all nodes, got {self.branching}"
+                f"branching must be finite and >= 1 to span all nodes, got {self.branching}"
             )
 
 

@@ -298,14 +298,12 @@ def avg_shortest_path(
 
 @dataclass(frozen=True)
 class GraphAnalysis:
-    """A :class:`MetricsReport` plus what callers of :func:`analyze_graph`
-    still need of the directed graph once it has been released."""
+    """What :func:`analyze_graph` reports: the :class:`MetricsReport`, the
+    record ``report.json`` holds and the in-degree CCDF."""
 
     report: MetricsReport
+    record: dict
     ccdf: Ccdf
-    in_degrees: list[int]
-    node_count: int
-    edge_count: int
 
 
 def analyze_graph(
@@ -313,28 +311,35 @@ def analyze_graph(
     fit_kmin: int = 2,
     fit_kmax: Optional[int] = None,
     path_samples: Union[int, str] = 200,
-    path_seed: int = 0,
 ) -> GraphAnalysis:
     """All metrics of the graph ``load_graph()`` returns, in stages.
 
-    The CCDF fit is on in-degrees; clustering and path length are on the
-    giant component of the undirected projection. Each stage's input is
-    released once the next stage's exists: the directed graph after the
-    projection, the projection after the giant component. The graph comes
-    from a loader rather than an argument so that no caller's name keeps
-    it alive. ``fit_kmax=None`` selects the automatic cutoff bound.
+    The CCDF fit and the Hill estimate ``gamma_mle`` are on in-degrees;
+    clustering and path length are on the giant component of the
+    undirected projection. Each stage's input is released once the next
+    stage's exists: the directed graph after the projection, the
+    projection after the giant component. The graph comes from a loader
+    rather than an argument so that no caller's name keeps it alive.
+    ``fit_kmax=None`` selects the automatic cutoff bound.
+
+    The record holds ``nodes``, ``edges``, the :func:`report_to_dict`
+    entries and ``gamma_mle``, in that order; an estimate that has too
+    little data is None.
     """
     graph = load_graph()
-    node_count = graph.node_count
-    edge_count = graph.edge_count
-    in_degrees = graph.in_degree
-    ccdf = degree_ccdf(in_degrees)
+    record = {"nodes": graph.node_count, "edges": graph.edge_count}
+    ccdf = degree_ccdf(graph.in_degree)
     if fit_kmax is None:
         fit_kmax = default_fit_kmax(ccdf)
     try:
         fit = fit_power_law(ccdf, fit_kmin, fit_kmax)
     except InsufficientDataError:
         fit = None
+    try:
+        gamma_mle = fit_power_law_mle(graph.in_degree, fit_kmin)
+    except InsufficientDataError:
+        gamma_mle = None
+    max_in_degree = max(graph.in_degree)
 
     projection = undirected_projection(graph)
     del graph
@@ -343,11 +348,13 @@ def analyze_graph(
     report = MetricsReport(
         fit=fit,
         avg_clustering=avg_clustering(giant),
-        avg_shortest_path=avg_shortest_path(giant, path_samples, path_seed),
-        giant_component_fraction=giant.node_count / node_count,
-        max_in_degree=max(in_degrees),
+        avg_shortest_path=avg_shortest_path(giant, path_samples),
+        giant_component_fraction=giant.node_count / record["nodes"],
+        max_in_degree=max_in_degree,
     )
-    return GraphAnalysis(report, ccdf, in_degrees, node_count, edge_count)
+    record.update(report_to_dict(report))
+    record["gamma_mle"] = gamma_mle
+    return GraphAnalysis(report, record, ccdf)
 
 
 def compute_report(
@@ -355,10 +362,9 @@ def compute_report(
     fit_kmin: int = 2,
     fit_kmax: Optional[int] = None,
     path_samples: Union[int, str] = 200,
-    path_seed: int = 0,
 ) -> MetricsReport:
     """The report of :func:`analyze_graph` on a graph the caller keeps."""
-    return analyze_graph(lambda: g, fit_kmin, fit_kmax, path_samples, path_seed).report
+    return analyze_graph(lambda: g, fit_kmin, fit_kmax, path_samples).report
 
 
 def write_ccdf(ccdf: Ccdf, stream) -> None:
@@ -369,7 +375,7 @@ def write_ccdf(ccdf: Ccdf, stream) -> None:
 
 def report_to_dict(report: MetricsReport) -> dict:
     """Flatten the report for machine consumption; absent fit maps to None."""
-    d = {
+    return {
         "gamma": report.fit.gamma if report.fit else None,
         "ccdf_slope": report.fit.ccdf_slope if report.fit else None,
         "r_squared": report.fit.r_squared if report.fit else None,
@@ -380,7 +386,6 @@ def report_to_dict(report: MetricsReport) -> dict:
         "giant_component_fraction": report.giant_component_fraction,
         "max_in_degree": report.max_in_degree,
     }
-    return d
 
 
 def format_field(value) -> str:

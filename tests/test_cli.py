@@ -20,9 +20,11 @@ import hiddentree
 from hiddentree import (
     DirectedGraph,
     TreeParams,
+    analyze_graph,
     build_tree,
     compute_report,
     derive_seed,
+    format_report,
     giant_component,
     read_edge_list,
     report_to_dict,
@@ -91,6 +93,16 @@ def test_generate_unwritable_path_is_io_error(tmp_path):
     code = run_cli("generate", "--nodes", 5, "--branching", "2.0",
                    "--activity", 1, "--out", tmp_path / "missing_dir" / "x.edges")
     assert code == 2
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--branching", "nan"), ("--branching", "inf"), ("--activity", "nan")])
+def test_generate_rejects_non_finite_parameters(tmp_path, capsys, flag, value):
+    # The later flag wins over the valid value before it.
+    assert run_cli("generate", "--nodes", 50, "--branching", "2.0", "--activity", 0.4,
+                   flag, value, "--out", tmp_path / "net.edges") == 1
+    assert "must be finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_generate_tree_dump(tmp_path):
@@ -215,6 +227,17 @@ def test_analyze_empty_distribution_fails(tmp_path):
     assert run_cli("analyze", edge_file) == 3
 
 
+def test_fit_kmin_below_one_is_rejected_before_any_work(tmp_path, capsys):
+    # analyze fails before it opens the edge list: a missing file would be exit 2.
+    assert run_cli("analyze", tmp_path / "nowhere.edges", "--fit-kmin", 0) == 1
+    assert "argument --fit-kmin: must be >= 1, got 0" in capsys.readouterr().err
+    out_dir = tmp_path / "sweep"
+    assert run_cli("sweep", "--kind", "activity", "--values", "0.4", "--nodes", 200,
+                   "--branching", "2.0", "--fit-kmin", 0, "--out", out_dir) == 1
+    assert "argument --fit-kmin: must be >= 1, got 0" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_analyze_missing_file(tmp_path):
     assert run_cli("analyze", tmp_path / "nowhere.edges") == 2
 
@@ -286,6 +309,7 @@ def test_config_file_errors(tmp_path, capsys):
         # Only the exit code is pinned: argparse words these.
         ("generate", "nodes = ten", ""),
         ("generate", "variant = odd", ""),
+        ("analyze", "fit_kmin = 0", "argument --fit-kmin: must be >= 1, got 0"),
     ]
     for command, text, message in cases:
         config.write_text(text + "\n")
@@ -419,10 +443,11 @@ def test_sweep_failure_in_a_worker_writes_no_summary_or_manifest(tmp_path, capsy
 
 def test_sweep_invalid_value_writes_nothing(tmp_path):
     # Every run's parameters are checked before the first run starts.
-    out_dir = tmp_path / "sweep"
-    assert run_cli("sweep", "--kind", "branching", "--values", "2.0,0.5", "--nodes", 200,
-                   "--activity", 0.4, "--path-samples", 20, "--out", out_dir) == 1
-    assert not out_dir.exists()
+    for values in ("2.0,0.5", "2.0,nan"):
+        out_dir = tmp_path / values
+        assert run_cli("sweep", "--kind", "branching", "--values", values, "--nodes", 200,
+                       "--activity", 0.4, "--path-samples", 20, "--out", out_dir) == 1
+        assert not out_dir.exists()
 
 
 def test_sweep_nodes_kind_uses_integer_values(tmp_path):
@@ -450,21 +475,54 @@ def test_report_json_summary_row_and_compute_report_agree(tmp_path):
     assert ((out_dir / "ccdf_activity=0.4_rep0.tsv").read_bytes()
             == (tmp_path / "net.ccdf.tsv").read_bytes())
 
+    record = json.loads((tmp_path / "net.report.json").read_text())
     with edge_file.open() as fh:
-        expected = report_to_dict(compute_report(read_edge_list(fh), path_samples=50))
-    report = json.loads((tmp_path / "net.report.json").read_text())
-    assert {key: report[key] for key in expected} == expected
+        report = report_to_dict(compute_report(read_edge_list(fh), path_samples=50))
+    assert report.items() <= record.items()
     header, row = (out_dir / "summary.tsv").read_text().splitlines()
     assert dict(zip(header.split("\t"), row.split("\t"))) == {
         "value": "0.4",
         "replicate": "0",
-        "gamma": format_field(expected["gamma"]),
-        "r_squared": format_field(expected["r_squared"]),
-        "avg_clustering": format_field(expected["avg_clustering"]),
-        "avg_shortest_path": format_field(expected["avg_shortest_path"]),
-        "max_in_degree": str(expected["max_in_degree"]),
-        "giant_fraction": format_field(expected["giant_component_fraction"]),
+        "gamma": format_field(record["gamma"]),
+        "r_squared": format_field(record["r_squared"]),
+        "avg_clustering": format_field(record["avg_clustering"]),
+        "avg_shortest_path": format_field(record["avg_shortest_path"]),
+        "max_in_degree": str(record["max_in_degree"]),
+        "giant_fraction": format_field(record["giant_component_fraction"]),
     }
+
+
+REPORT_KEYS = [
+    "nodes", "edges", "gamma", "ccdf_slope", "r_squared", "fit_kmin", "fit_kmax",
+    "avg_clustering", "avg_shortest_path", "giant_component_fraction", "max_in_degree",
+    "gamma_mle",
+]
+
+
+@pytest.mark.parametrize("network", ["triangle", "generated"])
+def test_analyze_writes_the_analyze_graph_record(tmp_path, capsys, network):
+    edge_file = tmp_path / "net.edges"
+    if network == "triangle":
+        write_triangle(edge_file)
+    else:
+        assert run_cli("generate", "--nodes", 600, "--branching", "2.0",
+                       "--activity", 0.4, "--seed", 3, "--out", edge_file) == 0
+    capsys.readouterr()
+    assert run_cli("analyze", edge_file, "--path-samples", 50) == 0
+    text = (tmp_path / "net.report.txt").read_text()
+    assert [line.split(" = ")[0] for line in text.splitlines()] == REPORT_KEYS
+    assert capsys.readouterr().out == text
+    report = json.loads((tmp_path / "net.report.json").read_text())
+    assert sorted(report) == sorted(REPORT_KEYS)
+
+    def load_graph():
+        with edge_file.open() as fh:
+            return read_edge_list(fh)
+
+    record = analyze_graph(load_graph, path_samples=50).record
+    assert list(record) == REPORT_KEYS
+    assert record == report
+    assert format_report(record) == text
 
 
 @pytest.mark.parametrize("command", ["analyze", "sweep"])
@@ -524,6 +582,9 @@ def test_sweep_usage_errors(tmp_path):
                    "--branching", "2.0", "--activity", 0.4, "--out", out_dir) == 1
     assert run_cli("sweep", "--kind", "activity", "--values", "0.2",
                    "--replicates", 0, *common) == 1
+    assert run_cli("sweep", "--kind", "activity", "--values", "0.2",
+                   "--jobs", 0, *common) == 1
+    assert not out_dir.exists()
 
 
 def test_export_dot_triangle(tmp_path):

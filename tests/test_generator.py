@@ -178,6 +178,13 @@ def test_negative_activity_rejected():
         ModelParams(tree=TreeParams(10, 2.0), activity=-0.1)
 
 
+def test_non_finite_activity_rejected():
+    # An infinite activity would never end a node's selection loop.
+    for activity in (math.nan, math.inf):
+        with pytest.raises(ParameterError, match="finite"):
+            ModelParams(tree=TreeParams(10, 2.0), activity=activity)
+
+
 # sha256 of write_edge_list output, recorded when every node still drew from
 # a Random object of its own. Reseeding one object must give the same streams.
 PINNED_EDGE_LISTS = [

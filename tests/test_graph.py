@@ -1,6 +1,7 @@
 """Graph storage, projection, component extraction, and edge-list round trips."""
 
 import io
+import pickle
 import random
 
 import pytest
@@ -225,6 +226,15 @@ def test_read_rejects_header_junk():
             read_edge_list(io.StringIO(header + "\n0,1\n"))
         assert excinfo.value.line_number == 1
     assert read_edge_list(io.StringIO("# nodes=3  edges=1 \n0,1\n")).edge_count == 1
+
+
+def test_edge_list_format_error_survives_pickling():
+    with pytest.raises(EdgeListFormatError) as excinfo:
+        read_edge_list(io.StringIO("# nodes=3 edges=1\n1,1\n"))
+    copy = pickle.loads(pickle.dumps(excinfo.value))
+    assert type(copy) is EdgeListFormatError
+    assert copy.line_number == 2
+    assert str(copy) == str(excinfo.value) == "line 2: self-loop (1, 1) not allowed"
 
 
 def test_directed_graph_validation():

@@ -1,5 +1,6 @@
 """Tree construction, LCA, and path queries checked against brute-force oracles."""
 
+import math
 import random
 from collections import deque
 
@@ -163,6 +164,9 @@ def test_parameter_validation():
         TreeParams(node_count=0, branching=2.0)
     with pytest.raises(ParameterError):
         TreeParams(node_count=5, branching=0.9)
+    for branching in (math.nan, math.inf):
+        with pytest.raises(ParameterError, match="finite"):
+            TreeParams(node_count=5, branching=branching)
     with pytest.raises(ParameterError):
         HiddenTree([0, 0])
     with pytest.raises(ParameterError):

@@ -205,6 +205,11 @@ def test_report_rejects_empty_graph():
         compute_report(DirectedGraph(3))
 
 
+def test_report_rejects_fit_kmin_below_one():
+    with pytest.raises(ParameterError):
+        compute_report(DirectedGraph(3, [(0, 1), (1, 2), (2, 0)]), fit_kmin=0)
+
+
 def test_report_on_generated_network():
     graph = generate(ModelParams(tree=TreeParams(10000, 2.0, seed=100), activity=0.4, seed=0))
     report = compute_report(graph)
