@@ -37,7 +37,14 @@ from .errors import (
 from .generator import ModelParams, Variant, derive_seed, generate
 from .graph import giant_members, read_edge_list, undirected_projection, write_edge_list
 from .hidden_tree import TreeParams, build_tree, write_tree_dump
-from .metrics import ALL, analyze_graph, format_field, format_report, write_ccdf
+from .metrics import (
+    ALL,
+    analyze_graph,
+    check_fit_range,
+    format_field,
+    format_report,
+    write_ccdf,
+)
 
 __all__ = ["main", "run", "build_parser"]
 
@@ -238,6 +245,7 @@ def build_parser() -> _Parser:
 
 def _read_config(path: Path) -> dict[str, str]:
     entries: dict[str, str] = {}
+    key_lines: dict[str, int] = {}
     with path.open() as fh:
         for line_no, line in enumerate(fh, start=1):
             text = line.strip()
@@ -246,7 +254,14 @@ def _read_config(path: Path) -> dict[str, str]:
             key, sep, value = text.partition("=")
             if not sep:
                 raise ParameterError(f"{path}, line {line_no}: expected key=value")
-            entries[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key in key_lines:
+                raise ParameterError(
+                    f"{path}, line {line_no}: config key {key!r} "
+                    f"is already given on line {key_lines[key]}"
+                )
+            key_lines[key] = line_no
+            entries[key] = value.strip()
     return entries
 
 
@@ -439,6 +454,7 @@ def _run_point(
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     _require(args, "kind", "values", "out")
+    check_fit_range(args.fit_kmin, args.fit_kmax)
 
     fixed = {"nodes": args.nodes, "branching": args.branching, "activity": args.activity}
     if fixed[args.kind] is not None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -118,8 +119,8 @@ def _run(
     """The generation loop, one node at a time.
 
     Node i's out-edges only grow while node i is processed, so each node
-    fills one set that becomes its sorted out-list as soon as it is done.
-    In-degrees are left for the graph to count if they are read.
+    fills one set that is appended, sorted, as the graph's row i as soon
+    as it is done. In-degrees are left for the graph to count if they are read.
     Returns the graph, then the trace fields: per-node selection counts
     and kept destinations (empty unless ``with_trace``) and the number of
     closure edges added.
@@ -133,7 +134,8 @@ def _run(
     # Random(x) is seed(x) on a new object, so reseeding one object gives
     # every node the same stream and saves constructing n of them.
     rng = random.Random()
-    out_edges: list[list[int]] = []
+    offsets = array("q", [0])
+    targets = array("i")
     counts: list[int] = []
     dests: list[tuple[int, ...]] = []
     closure_added = 0
@@ -165,10 +167,10 @@ def _run(
                     elif keep_self:
                         kept.append(dest)
                 act -= 1
-        out_edges.append(sorted(edges_i))
+        targets.fromlist(sorted(edges_i))
+        offsets.append(len(targets))
         if with_trace:
             counts.append(selections)
             dests.append(tuple(kept))
 
-    graph = DirectedGraph._adopt(out_edges)
-    return graph, counts, dests, closure_added
+    return DirectedGraph._adopt(offsets, targets), counts, dests, closure_added

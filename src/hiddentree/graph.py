@@ -1,15 +1,20 @@
 """Directed and undirected graph storage plus component extraction.
 
-Adjacency lists rather than a dense matrix: generated graphs are sparse
-(expected edges scale with node count times activity times tree depth),
-and the largest target sizes would not fit a dense representation
-comfortably.
+Both graph classes are stored in compressed sparse row (CSR) form: two
+flat buffers, ``offsets`` (``array('q')``, N+1 entries) and ``targets``
+(``array('i')``), where row u is ``targets[offsets[u]:offsets[u+1]]``,
+sorted ascending. Generated graphs are sparse, so this costs 4 bytes per
+stored edge end and 8 per node. No object is kept per node, so the
+cyclic garbage collector has nothing of a graph to walk. ``out_edges``
+and ``neighbors`` are read-only row views over the buffers.
 """
 
 from __future__ import annotations
 
-from itertools import islice
-from operator import eq
+from array import array
+from bisect import bisect_left
+from itertools import accumulate, chain, islice, repeat
+from operator import eq, ge, sub
 from typing import Iterable, Iterator, TextIO
 
 from .errors import EdgeListFormatError, ParameterError
@@ -24,60 +29,108 @@ __all__ = [
     "read_edge_list",
 ]
 
+#: Node counts must stay below this: ids are ``array('i')`` entries.
+NODE_LIMIT = 1 << 31
+
 # Characters of edge-list text parsed per block by read_edge_list. A
 # block's line strings and freshly parsed ints are the reader's transient
 # peak, so blocks are kept small; the per-block work is a few slices.
 _BLOCK_CHARS = 1 << 16
 
 
-class DirectedGraph:
+def node_count_error(node_count: int) -> str:
+    """The error for a node count outside [1, NODE_LIMIT), or "" if none."""
+    if node_count < 1:
+        return f"node_count must be >= 1, got {node_count}"
+    if node_count >= NODE_LIMIT:
+        return f"node_count must be < {NODE_LIMIT}, got {node_count}"
+    return ""
+
+
+class Rows:
+    """Read-only rows of a CSR graph: ``len()`` is the node count and
+    ``rows[u]`` is row u, a read-only ``memoryview`` of ints."""
+
+    __slots__ = ("_offsets", "_targets")
+
+    def __init__(self, offsets: array, targets: array):
+        self._offsets = offsets
+        self._targets = memoryview(targets).toreadonly()
+
+    def __len__(self) -> int:
+        return len(self._offsets) - 1
+
+    def __getitem__(self, u: int) -> memoryview:
+        if not 0 <= u < len(self._offsets) - 1:
+            raise IndexError(f"node id {u} out of range [0, {len(self)})")
+        return self._targets[self._offsets[u]:self._offsets[u + 1]]
+
+    def __iter__(self) -> Iterator[memoryview]:
+        offsets = self._offsets
+        return map(self._targets.__getitem__, map(slice, offsets, islice(offsets, 1, None)))
+
+
+class _Csr:
+    """The two buffers and what both graph classes read from them. The
+    buffers of a built graph are never mutated."""
+
+    __slots__ = ("offsets", "targets", "__weakref__")
+
+    @classmethod
+    def _adopt(cls, offsets: array, targets: array):
+        """Take over CSR buffers whose rows are sorted, deduplicated and in
+        range, as they are."""
+        g = cls.__new__(cls)
+        g.offsets = offsets
+        g.targets = targets
+        return g
+
+    @property
+    def node_count(self) -> int:
+        return len(self.offsets) - 1
+
+
+class DirectedGraph(_Csr):
     """Deduplicated directed edges over nodes 0..N-1; no self-loops.
 
-    Immutable once built; out-edge lists are sorted ascending. A list may
-    be shared with another graph (a projection adopts out-lists), so none
-    is ever mutated. In-degrees are counted on first read and then kept.
+    ``out_edges[u]`` is node u's sorted out-row. In-degrees are counted
+    on first read and then kept.
     """
 
-    __slots__ = ("out_edges", "_in_degree", "__weakref__")
+    __slots__ = ("_in_degree",)
 
     def __init__(self, node_count: int, edges: Iterable[tuple[int, int]] = ()):
         edges = list(edges)
         error = _first_bad_edge(node_count, edges)[1]
         if error:
             raise ParameterError(error)
-        out: list[set[int]] = [set() for _ in range(node_count)]
-        for src, dst in edges:
-            out[src].add(dst)
-        self.out_edges = [sorted(dsts) for dsts in out]
+        edges = sorted(set(edges))
+        out_degree = _count([src for src, _ in edges], node_count)
+        self.offsets = array("q", accumulate(out_degree, initial=0))
+        self.targets = array("i", [dst for _, dst in edges])
         self._in_degree = None
 
     @classmethod
-    def _adopt(cls, out_edges: list[list[int]]) -> "DirectedGraph":
-        """Take over sorted, deduplicated, in-range out-lists without a self-loop
-        as they are."""
-        g = cls.__new__(cls)
-        g.out_edges = out_edges
+    def _adopt(cls, offsets: array, targets: array) -> "DirectedGraph":
+        g = super()._adopt(offsets, targets)
         g._in_degree = None
         return g
 
     @property
+    def out_edges(self) -> Rows:
+        """Every node's out-row, indexable by node id."""
+        return Rows(self.offsets, self.targets)
+
+    @property
     def in_degree(self) -> list[int]:
-        """In-degree of every node, counted from the out-lists on first read."""
+        """In-degree of every node, counted from the targets on first read."""
         if self._in_degree is None:
-            in_degree = [0] * len(self.out_edges)
-            for dsts in self.out_edges:
-                for dst in dsts:
-                    in_degree[dst] += 1
-            self._in_degree = in_degree
+            self._in_degree = _count(self.targets, self.node_count)
         return self._in_degree
 
     @property
-    def node_count(self) -> int:
-        return len(self.out_edges)
-
-    @property
     def edge_count(self) -> int:
-        return sum(len(lst) for lst in self.out_edges)
+        return len(self.targets)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges in (src, dst) ascending order."""
@@ -86,33 +139,28 @@ class DirectedGraph:
                 yield src, dst
 
 
-class UndirectedGraph:
+class UndirectedGraph(_Csr):
     """Symmetric deduplicated adjacency over nodes 0..N-1; no self-loops.
 
-    Neighbour lists are sorted ascending. A list may be shared with the
-    directed graph it was projected from, so none is ever mutated. Built
-    from edges, it is the projection of ``DirectedGraph(node_count, edges)``.
+    ``neighbors[u]`` is node u's sorted neighbour row. Built from edges,
+    it is the projection of ``DirectedGraph(node_count, edges)``.
     """
 
-    __slots__ = ("neighbors", "__weakref__")
+    __slots__ = ()
 
     def __init__(self, node_count: int, edges: Iterable[tuple[int, int]] = ()):
-        self.neighbors = undirected_projection(DirectedGraph(node_count, edges)).neighbors
-
-    @classmethod
-    def _adopt(cls, neighbors: list[list[int]]) -> "UndirectedGraph":
-        """Take over sorted, symmetric, deduplicated neighbour lists as they are."""
-        g = cls.__new__(cls)
-        g.neighbors = neighbors
-        return g
+        projection = undirected_projection(DirectedGraph(node_count, edges))
+        self.offsets = projection.offsets
+        self.targets = projection.targets
 
     @property
-    def node_count(self) -> int:
-        return len(self.neighbors)
+    def neighbors(self) -> Rows:
+        """Every node's neighbour row, indexable by node id."""
+        return Rows(self.offsets, self.targets)
 
     @property
     def edge_count(self) -> int:
-        return sum(len(lst) for lst in self.neighbors) // 2
+        return len(self.targets) // 2
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, ascending."""
@@ -125,36 +173,50 @@ class UndirectedGraph:
 def undirected_projection(g: DirectedGraph) -> UndirectedGraph:
     """Collapse edge directions: {i, j} present iff i->j or j->i is.
 
-    Each node's in-list comes out sorted because sources are visited in
-    ascending order; it is merged with the node's out-list. A node with
-    no in-edges shares its out-list as its neighbour list. A
-    DirectedGraph is already valid, so nothing is checked again.
+    The in-rows are the edge sources grouped by target; sources come in
+    ascending order, so each in-row comes out sorted. A node's row is
+    then its in-row merged with its out-row. A DirectedGraph is already
+    valid, so nothing is checked again.
     """
-    out = g.out_edges
-    nbr: list[list[int]] = [[] for _ in out]
-    for u, dsts in enumerate(out):
-        for v in dsts:
-            nbr[v].append(u)
-    for u, dsts in enumerate(out):
-        if dsts:
-            ins = nbr[u]
-            nbr[u] = sorted(set(ins).union(dsts)) if ins else dsts
-    return UndirectedGraph._adopt(nbr)
+    offsets, targets = g.offsets, g.targets
+    out_degree = map(sub, islice(offsets, 1, None), offsets)
+    edge_sources = chain.from_iterable(map(repeat, range(g.node_count), out_degree))
+    in_offsets, sources = _group_by(targets, edge_sources, g.in_degree)
+    # Room for every out- and in-entry, cut to size at the end: growing
+    # the buffer row by row would copy it and leave the old copies behind.
+    nbr_targets = array("i", bytes(8 * len(targets)))
+    nbr_offsets = array("q", [0])
+    end = 0
+    out_bounds = zip(offsets, islice(offsets, 1, None))
+    in_bounds = zip(in_offsets, islice(in_offsets, 1, None))
+    for (a, b), (c, d) in zip(out_bounds, in_bounds):
+        if c == d:
+            row = targets[a:b]
+        elif a == b:
+            row = sources[c:d]
+        else:
+            row = array("i", sorted({*targets[a:b], *sources[c:d]}))
+        nbr_targets[end:end + len(row)] = row
+        end += len(row)
+        nbr_offsets.append(end)
+    del nbr_targets[end:]
+    return UndirectedGraph._adopt(nbr_offsets, nbr_targets)
 
 
 def giant_members(g: UndirectedGraph) -> list[int]:
     """Sorted node ids of the largest connected component by node count;
     ties go to the one containing the smallest node id."""
-    neighbors = g.neighbors
-    seen = bytearray(len(neighbors))
+    n = g.node_count
+    offsets, targets = g.offsets, memoryview(g.targets)
+    seen = bytearray(n)
     best_members: list[int] = []
-    for start in range(len(neighbors)):
+    for start in range(n):
         if seen[start]:
             continue
         seen[start] = 1
         members = [start]
         for u in members:  # breadth-first: the list is its own queue
-            for v in neighbors[u]:
+            for v in targets[offsets[u]:offsets[u + 1]]:
                 if not seen[v]:
                     seen[v] = 1
                     members.append(v)
@@ -168,18 +230,19 @@ def giant_members(g: UndirectedGraph) -> list[int]:
 def giant_component(g: UndirectedGraph) -> tuple[list[int], UndirectedGraph]:
     """The :func:`giant_members` and the induced subgraph with members
     relabeled to 0..len(members)-1 in that sorted order."""
-    neighbors = g.neighbors
+    offsets, targets = g.offsets, memoryview(g.targets)
     members = giant_members(g)
     # Every neighbour of a member is a member, so only members' entries
-    # are read back.
-    new_ids = [0] * len(neighbors)
+    # are read back; relabelling keeps each row sorted.
+    new_ids = [0] * g.node_count
     for new_id, node in enumerate(members):
         new_ids[node] = new_id
-    relabel = new_ids.__getitem__
-    induced = UndirectedGraph._adopt(
-        [list(map(relabel, neighbors[node])) for node in members]
-    )
-    return members, induced
+    starts = array("q", map(offsets.__getitem__, members))
+    ends = array("q", map(offsets.__getitem__, map((1).__add__, members)))
+    rows = map(targets.__getitem__, map(slice, starts, ends))
+    sub_targets = array("i", map(new_ids.__getitem__, chain.from_iterable(rows)))
+    sub_offsets = array("q", accumulate(map(sub, ends, starts), initial=0))
+    return members, UndirectedGraph._adopt(sub_offsets, sub_targets)
 
 
 def write_edge_list(g: DirectedGraph, stream: TextIO) -> None:
@@ -195,10 +258,10 @@ def read_edge_list(stream: TextIO) -> DirectedGraph:
     """Parse a file written by :func:`write_edge_list`.
 
     Raises :class:`EdgeListFormatError` naming the offending line: the
-    header for a malformed header or a wrong edge count, otherwise the
-    edge line that is malformed, out of range, a self-loop or a repeat.
-    Lines may come in any order and carry surrounding whitespace; blank
-    lines are skipped.
+    header for a malformed header, a node count of 2**31 or more or a
+    wrong edge count, otherwise the edge line that is malformed, out of
+    range, a self-loop or a repeat. Lines may come in any order and carry
+    surrounding whitespace; blank lines are skipped.
     """
     header = stream.readline()
     if not header.startswith("# nodes="):
@@ -211,73 +274,137 @@ def read_edge_list(stream: TextIO) -> DirectedGraph:
         edge_count = int(edges_field[len("edges="):])
     except ValueError:
         raise EdgeListFormatError(1, "malformed header") from None
+    if node_count >= NODE_LIMIT:
+        raise EdgeListFormatError(1, node_count_error(node_count))
 
-    # Lines are parsed a block at a time. Each block's ids are swapped for
-    # one shared int object per node id, so the ints parsed from a block
-    # are freed at once and every list that names a node points into one
-    # compact run of objects.
-    node_ids: list[int] = []
-    srcs: list[int] = []
-    dsts: list[int] = []
+    # Lines are parsed a block at a time into two columns. A block whose
+    # ids are all in range and that has no self-loop is appended to them;
+    # the first block that is not is kept aside to find the bad edge, and
+    # later blocks are only parsed and counted.
+    srcs = array("i")
+    dsts = array("i")
+    bad_block: tuple[list[int], list[int]] = ([], [])
+    in_order = True  # the edges so far run in strictly ascending order
+    parsed = 0
     blank_lines: list[int] = []
     first_line = 2
-    all_ids = True  # every block held only valid node ids
     while block := stream.readlines(_BLOCK_CHARS):
-        start = len(srcs)
-        for line_no, line in enumerate(block, first_line):
-            line = line.strip()
-            if not line:
-                blank_lines.append(line_no)
-                continue
-            src_s, sep, dst_s = line.partition(",")
-            if not sep:
-                raise EdgeListFormatError(line_no, f"expected 'src,dst', got {line!r}")
-            try:
-                srcs.append(int(src_s))
-                dsts.append(int(dst_s))
-            except ValueError:
-                raise EdgeListFormatError(
-                    line_no, f"non-integer node id in {line!r}"
-                ) from None
+        lines = list(map(str.strip, block))
+        if "" in lines:
+            blank_lines += [no for no, line in enumerate(lines, first_line) if not line]
+            lines = list(filter(None, lines))
+        fields = ",".join(lines).split(",") if lines else []
+        try:
+            # One comma per line: at least one in each, as many as lines in all.
+            if len(fields) != 2 * len(lines) or not all(map(str.__contains__, lines, repeat(","))):
+                raise ValueError("not one comma per line")
+            block_srcs = list(map(int, fields[::2]))
+            block_dsts = list(map(int, fields[1::2]))
+        except ValueError:
+            raise _first_line_error(block, first_line) from None
         first_line += len(block)
-        all_ids &= _share_ids(srcs, start, node_ids, node_count)
-        all_ids &= _share_ids(dsts, start, node_ids, node_count)
+        parsed += len(block_srcs)
+        if bad_block[0] or not block_srcs:
+            continue
+        ids = block_srcs + block_dsts
+        if min(ids) < 0 or max(ids) >= node_count or any(map(eq, block_srcs, block_dsts)):
+            bad_block = (block_srcs, block_dsts)
+            continue
+        if in_order:
+            edges = zip(block_srcs, block_dsts)
+            later = zip(islice(block_srcs, 1, None), islice(block_dsts, 1, None))
+            in_order = not (
+                srcs and (srcs[-1], dsts[-1]) >= (block_srcs[0], block_dsts[0])
+            ) and not any(map(ge, edges, later))
+        srcs.fromlist(block_srcs)
+        dsts.fromlist(block_dsts)
 
-    if len(srcs) != edge_count:
-        raise EdgeListFormatError(
-            1, f"header says {edge_count} edges, file has {len(srcs)}"
-        )
-    # Edges are validated in bulk, their ranges block by block; only a
-    # failure pays for finding the line.
-    if node_count < 1 or not all_ids or any(map(eq, srcs, dsts)):
-        index, error = _first_bad_edge(node_count, zip(srcs, dsts))
+    if parsed != edge_count:
+        raise EdgeListFormatError(1, f"header says {edge_count} edges, file has {parsed}")
+    if node_count < 1 or bad_block[0]:
+        edges = chain(zip(srcs, dsts), zip(*bad_block))
+        index, error = _first_bad_edge(node_count, edges)
         # With no bad edge (index -1) the header's node count is at fault: line 1.
         raise EdgeListFormatError(_edge_line(index, blank_lines), error)
 
-    out_edges: list[list[int]] = [[] for _ in range(node_count)]
-    for src, dst in zip(srcs, dsts):
-        out_edges[src].append(dst)
+    if in_order:
+        # The order write_edge_list writes: the columns are already CSR,
+        # and row u starts at the first edge whose source is not below u.
+        offsets = array("q", map(bisect_left, repeat(srcs), range(node_count + 1)))
+        targets = dsts
+    else:
+        offsets, targets = _group_by(srcs, dsts, _count(srcs, node_count))
+        if _sort_rows(offsets, targets):
+            _raise_first_repeat(srcs, dsts, blank_lines)
+    return DirectedGraph._adopt(offsets, targets)
+
+
+def _first_line_error(block: list[str], first_line: int) -> EdgeListFormatError:
+    """The error of the first line of ``block`` that is not blank and not
+    ``src,dst`` with integer ids; ``block`` starts at line ``first_line``."""
+    for line_no, line in enumerate(block, first_line):
+        line = line.strip()
+        if not line:
+            continue
+        src_s, sep, dst_s = line.partition(",")
+        if not sep:
+            return EdgeListFormatError(line_no, f"expected 'src,dst', got {line!r}")
+        try:
+            int(src_s), int(dst_s)
+        except ValueError:
+            return EdgeListFormatError(line_no, f"non-integer node id in {line!r}")
+    raise ValueError("block holds no malformed line")
+
+
+def _count(keys: Iterable[int], n: int) -> list[int]:
+    """How many of ``keys`` equal each of 0..n-1."""
+    counts = [0] * n
+    for key in keys:
+        counts[key] += 1
+    return counts
+
+
+def _group_by(keys: array, values: Iterable[int], counts: list[int]) -> tuple[array, array]:
+    """A counting sort: the CSR offsets and targets of ``values`` grouped
+    into rows by their ``keys``, in the order given within each row.
+    ``counts[k]`` is how many keys equal k."""
+    offsets = array("q", accumulate(counts, initial=0))
+    fill = offsets[:]
+    grouped = array("i", bytes(4 * len(keys)))
+    for key, value in zip(keys, values):
+        i = fill[key]
+        grouped[i] = value
+        fill[key] = i + 1
+    return offsets, grouped
+
+
+def _sort_rows(offsets: array, targets: array) -> bool:
+    """Sort every row in place; whether some row holds a target twice."""
     repeated = False
-    for row in out_edges:
-        if len(row) > 1:
-            row.sort()
+    for a, b in zip(offsets, islice(offsets, 1, None)):
+        if b - a > 1:
+            row = sorted(targets[a:b])
+            targets[a:b] = array("i", row)
             repeated = repeated or any(map(eq, row, islice(row, 1, None)))
-    if repeated:
-        first_index: dict[tuple[int, int], int] = {}
-        for i, edge in enumerate(zip(srcs, dsts)):
-            first = first_index.setdefault(edge, i)
-            if first != i:
-                raise EdgeListFormatError(
-                    _edge_line(i, blank_lines),
-                    f"duplicate edge {edge}, first on line {_edge_line(first, blank_lines)}",
-                )
-    return DirectedGraph._adopt(out_edges)
+    return repeated
+
+
+def _raise_first_repeat(srcs: array, dsts: array, blank_lines: list[int]) -> None:
+    first_index: dict[tuple[int, int], int] = {}
+    for i, edge in enumerate(zip(srcs, dsts)):
+        first = first_index.setdefault(edge, i)
+        if first != i:
+            raise EdgeListFormatError(
+                _edge_line(i, blank_lines),
+                f"duplicate edge {edge}, first on line {_edge_line(first, blank_lines)}",
+            )
 
 
 def _first_bad_edge(node_count: int, edges: Iterable[tuple[int, int]]) -> tuple[int, str]:
     """The index of the first edge out of range or a self-loop (-1 if
     none) and the error :class:`DirectedGraph` raises for these edges (""
-    if none). A node count below 1 is the error whatever the edges."""
+    if none). A node count outside [1, NODE_LIMIT) is the error whatever
+    the edges."""
     for i, (src, dst) in enumerate(edges):
         if not (0 <= src < node_count and 0 <= dst < node_count):
             error = f"edge ({src}, {dst}) references node out of range"
@@ -287,25 +414,7 @@ def _first_bad_edge(node_count: int, edges: Iterable[tuple[int, int]]) -> tuple[
             break
     else:
         i, error = -1, ""
-    if node_count < 1:
-        error = f"node_count must be >= 1, got {node_count}"
-    return i, error
-
-
-def _share_ids(values: list[int], start: int, node_ids: list[int], node_count: int) -> bool:
-    """Replace ``values[start:]`` by the shared objects in ``node_ids``,
-    extending it up to the largest id seen, if all are in [0, node_count).
-    Otherwise leave them as parsed and return False."""
-    block = values[start:]
-    if not block:
-        return True
-    high = max(block)
-    if min(block) < 0 or high >= node_count:
-        return False
-    if high >= len(node_ids):
-        node_ids.extend(range(len(node_ids), high + 1))
-    values[start:] = map(node_ids.__getitem__, block)
-    return True
+    return i, node_count_error(node_count) or error
 
 
 def _edge_line(index: int, blank_lines: list[int]) -> int:

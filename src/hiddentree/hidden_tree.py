@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import TextIO
 
 from .errors import ParameterError
+from .graph import node_count_error
 
 __all__ = ["TreeParams", "HiddenTree", "build_tree", "lca", "path_between", "write_tree_dump"]
 
@@ -29,8 +30,9 @@ class TreeParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.node_count < 1:
-            raise ParameterError(f"node_count must be >= 1, got {self.node_count}")
+        error = node_count_error(self.node_count)
+        if error:
+            raise ParameterError(error)
         if not 1 <= self.branching < math.inf:
             raise ParameterError(
                 f"branching must be finite and >= 1 to span all nodes, got {self.branching}"

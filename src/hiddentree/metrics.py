@@ -12,6 +12,8 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
+from operator import sub
 from typing import Callable, Optional, Union
 
 from .errors import (
@@ -184,18 +186,21 @@ def avg_clustering(g: UndirectedGraph) -> float:
     O(m * sqrt(m)) instead of the O(sum d^2) of checking every neighbour
     pair, and each per-node count equals that pair count exactly.
 
-    Forward neighbours are kept as lists; only the current lowest
-    corner's are held as a set (compact-forward), so the kernel adds one
-    list slot per edge rather than a hash set per node.
+    Forward neighbours are kept as lists of one shared int object per
+    node, read from the CSR rows; only the current lowest corner's are
+    held as a set (compact-forward), so the kernel adds one list slot per
+    edge rather than a hash set per node.
     """
     n = g.node_count
-    neighbors = g.neighbors
-    degree = [len(nbrs) for nbrs in neighbors]
+    offsets, targets = g.offsets, memoryview(g.targets)
+    degree = list(map(sub, islice(offsets, 1, None), offsets))
     rank = [0] * n
     for r, u in enumerate(sorted(range(n), key=degree.__getitem__)):
         rank[u] = r
+    ids = list(range(n))
     forward = [
-        [v for v in nbrs if rank[v] > rank[u]] for u, nbrs in enumerate(neighbors)
+        [ids[v] for v in targets[a:b] if rank[v] > rank_u]
+        for rank_u, a, b in zip(rank, offsets, islice(offsets, 1, None))
     ]
     triangles = [0] * n
     for u in range(n):
@@ -234,7 +239,7 @@ def _distance_sum(g: UndirectedGraph, sources: list[int]) -> int:
     :class:`ConnectivityError` if some source does not reach every node.
     """
     n = g.node_count
-    neighbors = g.neighbors
+    offsets, targets = g.offsets, memoryview(g.targets)
     seen = [0] * n
     frontier = {}
     for i, src in enumerate(sources):
@@ -246,7 +251,7 @@ def _distance_sum(g: UndirectedGraph, sources: list[int]) -> int:
         level += 1
         found = {}
         for u, bits in frontier.items():
-            for v in neighbors[u]:
+            for v in targets[offsets[u]:offsets[u + 1]]:
                 new = bits & ~seen[v]
                 if new:
                     seen[v] |= new
@@ -306,6 +311,13 @@ class GraphAnalysis:
     ccdf: Ccdf
 
 
+def check_fit_range(fit_kmin: int, fit_kmax: Optional[int]) -> None:
+    """Raise :class:`ParameterError` if ``fit_kmax`` is below ``fit_kmin``;
+    None (the automatic bound) always passes."""
+    if fit_kmax is not None and fit_kmax < fit_kmin:
+        raise ParameterError(f"fit_kmax {fit_kmax} is below fit_kmin {fit_kmin}")
+
+
 def analyze_graph(
     load_graph: Callable[[], DirectedGraph],
     fit_kmin: int = 2,
@@ -324,8 +336,10 @@ def analyze_graph(
 
     The record holds ``nodes``, ``edges``, the :func:`report_to_dict`
     entries and ``gamma_mle``, in that order; an estimate that has too
-    little data is None.
+    little data is None. A ``fit_kmax`` below ``fit_kmin`` raises
+    :class:`ParameterError` before the graph is loaded.
     """
+    check_fit_range(fit_kmin, fit_kmax)
     graph = load_graph()
     record = {"nodes": graph.node_count, "edges": graph.edge_count}
     ccdf = degree_ccdf(graph.in_degree)

@@ -238,6 +238,24 @@ def test_fit_kmin_below_one_is_rejected_before_any_work(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_fit_kmax_below_fit_kmin_is_rejected_before_any_work(tmp_path, capsys):
+    # analyze fails before it opens the edge list: a missing file would be exit 2.
+    assert run_cli("analyze", tmp_path / "nowhere.edges", "--fit-kmax", 1) == 1
+    assert "fit_kmax 1 is below fit_kmin 2" in capsys.readouterr().err
+    out_dir = tmp_path / "sweep"
+    assert run_cli("sweep", "--kind", "activity", "--values", "0.4", "--nodes", 200,
+                   "--branching", "2.0", "--fit-kmin", 5, "--fit-kmax=-5",
+                   "--out", out_dir) == 1
+    assert "fit_kmax -5 is below fit_kmin 5" in capsys.readouterr().err
+    assert not out_dir.exists()
+    config = tmp_path / "sweep.cfg"
+    config.write_text("fit_kmax = 1\n")
+    assert run_cli("sweep", "--config", config, "--kind", "activity", "--values", "0.4",
+                   "--nodes", 200, "--branching", "2.0", "--out", out_dir) == 1
+    assert "fit_kmax 1 is below fit_kmin 2" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_analyze_missing_file(tmp_path):
     assert run_cli("analyze", tmp_path / "nowhere.edges") == 2
 
@@ -310,6 +328,11 @@ def test_config_file_errors(tmp_path, capsys):
         ("generate", "nodes = ten", ""),
         ("generate", "variant = odd", ""),
         ("analyze", "fit_kmin = 0", "argument --fit-kmin: must be >= 1, got 0"),
+        ("analyze", "fit_kmax = 1", "fit_kmax 1 is below fit_kmin 2"),
+        ("generate", "nodes = 10\n# a comment\nnodes = 20",
+         "line 3: config key 'nodes' is already given on line 1"),
+        ("analyze", "fit-kmin = 2\nfit_kmin = 3",
+         "line 2: config key 'fit_kmin' is already given on line 1"),
     ]
     for command, text, message in cases:
         config.write_text(text + "\n")

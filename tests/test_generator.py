@@ -6,6 +6,8 @@ import math
 import random
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from hiddentree import (
     ModelParams,
@@ -99,27 +101,71 @@ def test_selection_counts_stay_within_floor_and_ceiling():
         )
 
 
-def test_edges_match_trace_provenance_exactly():
-    rng = random.Random(99)
-    for _ in range(15):
-        params = ModelParams(
-            tree=TreeParams(rng.randint(3, 40), round(rng.uniform(1.0, 3.0), 2), seed=rng.randrange(2**16)),
-            activity=rng.choice((0.5, 1.0, 1.5)),
-            seed=rng.randrange(2**16),
-            include_tree_edges=rng.random() < 0.5,
-        )
-        tree = build_tree(params.tree)
-        graph, trace = generate_with_trace(params)
-        for i in range(tree.node_count):
-            expected = set()
-            if params.include_tree_edges:
-                expected.update(tree.children[i])
-                if i > 0:
-                    expected.add(tree.parent[i])
-            for dest in trace.destinations[i]:
-                expected.update(path_between(tree, i, dest))
-            expected.discard(i)
-            assert set(graph.out_edges[i]) == expected
+model_settings = settings(
+    derandomize=True,
+    deadline=None,
+    max_examples=150,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@st.composite
+def model_bases(draw):
+    """Every ModelParams field but the activity."""
+    tree = TreeParams(
+        draw(st.integers(1, 40)), draw(st.floats(1.0, 4.0)), seed=draw(st.integers(0, 2**16))
+    )
+    return dict(
+        tree=tree,
+        seed=draw(st.integers(0, 2**16)),
+        variant=draw(st.sampled_from(Variant)),
+        include_tree_edges=draw(st.booleans()),
+        allow_self_selection=draw(st.booleans()),
+    )
+
+
+# A 40-node tree whose nodes each select at activity 1.3.
+CROSSING_BASE = dict(
+    tree=TreeParams(40, 2.0, seed=3), seed=5, variant=Variant.ALL_ACTIVE,
+    include_tree_edges=False, allow_self_selection=False,
+)
+
+
+@model_settings
+@given(model_bases(), st.floats(0.0, 3.0))
+def test_edges_match_trace_provenance_exactly(base, activity):
+    """Each node's out-row is its kept destinations plus every node on
+    their tree paths (and its tree neighbours with include_tree_edges),
+    itself excluded."""
+    params = ModelParams(activity=activity, **base)
+    tree = build_tree(params.tree)
+    graph, trace = generate_with_trace(params)
+    for i in range(tree.node_count):
+        expected = set()
+        if params.include_tree_edges:
+            expected.update(tree.children[i])
+            if i > 0:
+                expected.add(tree.parent[i])
+        for dest in trace.destinations[i]:
+            expected.update(path_between(tree, i, dest))
+        expected.discard(i)
+        assert list(graph.out_edges[i]) == sorted(expected)
+        if params.variant is Variant.LEAF_ACTIVE and tree.children[i]:
+            assert trace.selection_counts[i] == 0
+
+
+@model_settings
+@given(model_bases(), st.floats(0.0, 3.5), st.floats(0.0, 3.5))
+@example(CROSSING_BASE, 0.7, 1.3)
+@example(CROSSING_BASE, 1.0, 2.0)
+@example(CROSSING_BASE, 1.9999, 2.0001)
+def test_raising_activity_only_adds_edges(base, a, b):
+    """With one seed and one tree, a node's rounds at the lower activity
+    draw what its rounds at the higher one draw, so edges only grow."""
+    low, high = sorted((a, b))
+    fewer = set(generate(ModelParams(activity=low, **base)).edges())
+    more = set(generate(ModelParams(activity=high, **base)).edges())
+    assert fewer <= more
 
 
 def test_leaf_active_edges_originate_at_leaves_only():
@@ -148,7 +194,7 @@ def test_generation_is_deterministic():
     params = ModelParams(tree=TreeParams(300, 2.0, seed=1), activity=0.5, seed=10)
     first, trace_a = generate_with_trace(params)
     second, trace_b = generate_with_trace(params)
-    assert first.out_edges == second.out_edges
+    assert [list(r) for r in first.out_edges] == [list(r) for r in second.out_edges]
     assert trace_a == trace_b
 
 
@@ -156,7 +202,7 @@ def test_master_seed_changes_the_graph():
     base = dict(tree=TreeParams(300, 2.0, seed=1), activity=0.5)
     g10 = generate(ModelParams(seed=10, **base))
     g11 = generate(ModelParams(seed=11, **base))
-    assert g10.out_edges != g11.out_edges
+    assert [list(r) for r in g10.out_edges] != [list(r) for r in g11.out_edges]
 
 
 def test_no_self_loops_or_duplicates():
@@ -212,6 +258,7 @@ def test_edge_list_digest_is_pinned(params, digest):
 def test_given_tree_is_used_and_checked():
     params = PINNED_EDGE_LISTS[0][0]
     tree = build_tree(params.tree)
-    assert generate(params, tree=tree).out_edges == generate(params).out_edges
+    given, built = generate(params, tree=tree), generate(params)
+    assert [list(r) for r in given.out_edges] == [list(r) for r in built.out_edges]
     with pytest.raises(ParameterError):
         generate(params, tree=build_tree(TreeParams(299, 2.0, seed=11)))

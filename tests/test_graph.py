@@ -1,5 +1,6 @@
 """Graph storage, projection, component extraction, and edge-list round trips."""
 
+import gc
 import io
 import pickle
 import random
@@ -15,6 +16,7 @@ from hiddentree import (
     UndirectedGraph,
     generate,
     giant_component,
+    giant_members,
     read_edge_list,
     undirected_projection,
     write_edge_list,
@@ -94,7 +96,7 @@ def test_projection_is_idempotent():
         once = undirected_projection(directed)
         both_ways = [(u, v) for u, v in once.edges()] + [(v, u) for u, v in once.edges()]
         twice = undirected_projection(DirectedGraph(once.node_count, both_ways))
-        assert once.neighbors == twice.neighbors
+        assert [list(r) for r in once.neighbors] == [list(r) for r in twice.neighbors]
 
 
 def test_giant_component_picks_largest():
@@ -108,7 +110,7 @@ def test_giant_component_full_graph():
     graph = UndirectedGraph(4, [(0, 1), (1, 2), (2, 3)])
     members, induced = giant_component(graph)
     assert members == [0, 1, 2, 3]
-    assert induced.neighbors == graph.neighbors
+    assert [list(r) for r in induced.neighbors] == [list(r) for r in graph.neighbors]
 
 
 def test_giant_component_tie_breaks_on_smallest_id():
@@ -154,7 +156,7 @@ def test_edge_list_round_trip():
     text = buffer.getvalue()
     assert text.startswith(f"# nodes=50 edges={graph.edge_count}\n")
     restored = read_edge_list(io.StringIO(text))
-    assert restored.out_edges == graph.out_edges
+    assert [list(r) for r in restored.out_edges] == [list(r) for r in graph.out_edges]
 
 
 def test_edge_list_is_sorted():
@@ -235,6 +237,48 @@ def test_edge_list_format_error_survives_pickling():
     assert type(copy) is EdgeListFormatError
     assert copy.line_number == 2
     assert str(copy) == str(excinfo.value) == "line 2: self-loop (1, 1) not allowed"
+
+
+def test_node_counts_that_ids_cannot_hold_are_rejected():
+    # Ids are array('i') entries: nothing is allocated for such a header.
+    with pytest.raises(EdgeListFormatError) as excinfo:
+        read_edge_list(io.StringIO("# nodes=10000000000 edges=0\n"))
+    assert excinfo.value.line_number == 1
+    assert "node_count must be < 2147483648, got 10000000000" in str(excinfo.value)
+    for make in (DirectedGraph, lambda n: TreeParams(n, 2.0)):
+        with pytest.raises(ParameterError, match="must be < 2147483648"):
+            make(2**31)
+    assert TreeParams(2**31 - 1, 2.0).node_count == 2**31 - 1
+
+
+def test_graph_stages_hold_no_object_per_node():
+    graph = generate(ModelParams(tree=TreeParams(20000, 2.0, seed=7), activity=0.4, seed=7))
+    buffer = io.StringIO()
+    write_edge_list(graph, buffer)
+    del graph
+    buffer.seek(0)
+    gc.collect()
+    before = len(gc.get_objects())
+    directed = read_edge_list(buffer)
+    directed.in_degree
+    projection = undirected_projection(directed)
+    members, giant = giant_component(projection)
+    assert giant_members(projection) == members
+    gc.collect()
+    assert len(gc.get_objects()) - before < 50
+    assert giant.node_count == len(members) > 10000
+
+
+def test_rows_are_read_only_views():
+    graph = DirectedGraph(4, [(2, 1), (0, 3), (0, 1), (2, 0)])
+    rows = graph.out_edges
+    assert len(rows) == 4
+    assert [list(row) for row in rows] == [[1, 3], [], [0, 1], []]
+    assert rows[2].tolist() == [0, 1] and len(rows[0]) == 2
+    with pytest.raises(TypeError):
+        rows[0][0] = 2
+    with pytest.raises(IndexError):
+        rows[4]
 
 
 def test_directed_graph_validation():

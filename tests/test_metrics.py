@@ -17,6 +17,7 @@ from hiddentree import (
     ParameterError,
     TreeParams,
     UndirectedGraph,
+    analyze_graph,
     avg_clustering,
     avg_shortest_path,
     compute_report,
@@ -208,6 +209,16 @@ def test_report_rejects_empty_graph():
 def test_report_rejects_fit_kmin_below_one():
     with pytest.raises(ParameterError):
         compute_report(DirectedGraph(3, [(0, 1), (1, 2), (2, 0)]), fit_kmin=0)
+
+
+def test_fit_kmax_below_fit_kmin_is_rejected_before_loading():
+    def load_graph():
+        raise AssertionError("the graph must not be loaded")
+
+    with pytest.raises(ParameterError, match="fit_kmax 2 is below fit_kmin 3"):
+        analyze_graph(load_graph, fit_kmin=3, fit_kmax=2)
+    with pytest.raises(ParameterError, match="fit_kmax 1 is below fit_kmin 2"):
+        compute_report(DirectedGraph(3, [(0, 1), (1, 2), (2, 0)]), fit_kmax=1)
 
 
 def test_report_on_generated_network():
