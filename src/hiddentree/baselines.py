@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import ParameterError
-from .graph import UndirectedGraph
+from .graph import UndirectedGraph, node_count_error
 
 __all__ = ["ErParams", "BaParams", "generate_er", "generate_ba"]
 
@@ -26,8 +26,9 @@ class ErParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.node_count < 1:
-            raise ParameterError(f"node_count must be >= 1, got {self.node_count}")
+        error = node_count_error(self.node_count)
+        if error:
+            raise ParameterError(error)
         if not 0.0 <= self.edge_probability <= 1.0:
             raise ParameterError(
                 f"edge_probability must be in [0, 1], got {self.edge_probability}"
@@ -45,6 +46,9 @@ class BaParams:
     seed: int = 0
 
     def __post_init__(self):
+        error = node_count_error(self.node_count)
+        if error:
+            raise ParameterError(error)
         if self.edges_per_new_node < 1:
             raise ParameterError(
                 f"edges_per_new_node must be >= 1, got {self.edges_per_new_node}"

@@ -143,12 +143,12 @@ def _run(
     for i in range(n):
         edges_i: set[int] = set()
         if params.include_tree_edges:
-            edges_i.update(children[i])
+            edges_i.update(children(i))
             if i:
                 edges_i.add(parent[i])
         selections = 0
         kept: list[int] = []
-        if not (leaf_only and children[i]):
+        if not (leaf_only and children(i)):
             rng.seed(derive_seed(params.seed, i))
             act = activity
             while act > 0:

@@ -1,18 +1,22 @@
 """Static latent tree: construction, ancestor queries, and path queries.
 
 The tree is rooted at node 0 and nodes are numbered in breadth-first
-order, so ``parent[i] < i`` for every non-root node. The average number
-of children per internal node is controlled by a real-valued branching
-factor: a node due for children receives ``floor(branching)`` of them
-plus one more with probability ``frac(branching)``, until the node
-budget runs out.
+order, so ``parent[i] < i`` for every non-root node and ``parent`` never
+decreases: each node's children are a run of consecutive ids. The tree
+is kept as its parent and depth lists plus one array of child offsets,
+with no container per node. The average number of children per internal
+node is controlled by a real-valued branching factor: a node due for
+children receives ``floor(branching)`` of them plus one more with
+probability ``frac(branching)``, until the node budget runs out.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import TextIO
 
 from .errors import ParameterError
@@ -42,35 +46,42 @@ class TreeParams:
 class HiddenTree:
     """Immutable rooted tree over nodes 0..N-1 in breadth-first numbering.
 
-    ``parent[0]`` is -1; ``depth[0]`` is 0. Safe for concurrent read-only
-    use once constructed.
+    ``parent[0]`` is -1; ``depth[0]`` is 0. Node u's children are ids
+    ``first[u]`` to ``first[u+1] - 1``. Safe for concurrent read-only use
+    once constructed.
     """
 
-    __slots__ = ("parent", "depth", "children")
+    __slots__ = ("parent", "depth", "first")
 
     def __init__(self, parent: list[int]):
         if not parent or parent[0] != -1:
             raise ParameterError("parent array must start with -1 for the root")
         n = len(parent)
         depth = [0] * n
-        children: list[list[int]] = [[] for _ in range(n)]
+        child_count = [0] * n
+        previous = 0
         for i in range(1, n):
             p = parent[i]
-            if not 0 <= p < i:
+            if not previous <= p < i:
                 raise ParameterError(f"parent[{i}] = {p} breaks breadth-first numbering")
             depth[i] = depth[p] + 1
-            children[p].append(i)
+            child_count[p] += 1
+            previous = p
         self.parent = parent
         self.depth = depth
-        self.children = children
+        self.first = array("i", accumulate(child_count, initial=1))
 
     @property
     def node_count(self) -> int:
         return len(self.parent)
 
+    def children(self, u: int) -> range:
+        """Node u's children, in ascending id order."""
+        return range(self.first[u], self.first[u + 1])
+
     def leaves(self) -> list[int]:
         """Nodes with no children, in ascending id order."""
-        return [i for i in range(self.node_count) if not self.children[i]]
+        return [i for i in range(self.node_count) if not self.children(i)]
 
     def _check_node(self, u: int) -> None:
         if not 0 <= u < self.node_count:
@@ -122,27 +133,25 @@ def path_between(tree: HiddenTree, u: int, v: int) -> list[int]:
 
 
 def climb(tree: HiddenTree, u: int, v: int) -> tuple[list[int], list[int]]:
-    """Climb from u and v to their deepest common ancestor (depth-equalize,
-    then step in lockstep); node ids are not range-checked.
+    """Climb from u and v to their deepest common ancestor; node ids are
+    not range-checked.
 
+    Each step moves the larger of the two ids to its parent: ancestors
+    have smaller ids, so the larger one is never the common ancestor.
     Returns ``(up, down)``: ``up`` runs from u to the ancestor inclusive,
     ``down`` from v up to just below it, so the u-to-v path is ``up``
     followed by ``down`` reversed.
     """
-    parent, depth = tree.parent, tree.depth
+    parent = tree.parent
     up = [u]
     down = []
-    while depth[u] > depth[v]:
-        u = parent[u]
-        up.append(u)
-    while depth[v] > depth[u]:
-        down.append(v)
-        v = parent[v]
     while u != v:
-        down.append(v)
-        u = parent[u]
-        v = parent[v]
-        up.append(u)
+        if u > v:
+            u = parent[u]
+            up.append(u)
+        else:
+            down.append(v)
+            v = parent[v]
     return up, down
 
 

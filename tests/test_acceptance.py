@@ -75,7 +75,7 @@ def layer_rows(tree, degrees, ccdf):
     internal = [[] for _ in nodes]
     for node, depth in enumerate(tree.depth):
         nodes[depth] += 1
-        if tree.children[node]:
+        if tree.children(node):
             internal[depth].append(degrees[node])
     rows = []
     for depth, layer in enumerate(internal):

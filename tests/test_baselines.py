@@ -114,3 +114,12 @@ def test_parameter_validation():
         BaParams(node_count=10, edges_per_new_node=5, seed_size=3)
     with pytest.raises(ParameterError):
         BaParams(node_count=5, edges_per_new_node=2, seed_size=5)
+
+
+@pytest.mark.parametrize("node_count", [0, 2**31])
+def test_node_counts_that_ids_cannot_hold_are_rejected_at_construction(node_count):
+    # Only the parameter objects are built: no generator runs.
+    with pytest.raises(ParameterError, match="node_count must be"):
+        ErParams(node_count=node_count, edge_probability=0.5)
+    with pytest.raises(ParameterError, match="node_count must be"):
+        BaParams(node_count=node_count, edges_per_new_node=2)

@@ -143,14 +143,14 @@ def test_edges_match_trace_provenance_exactly(base, activity):
     for i in range(tree.node_count):
         expected = set()
         if params.include_tree_edges:
-            expected.update(tree.children[i])
+            expected.update(tree.children(i))
             if i > 0:
                 expected.add(tree.parent[i])
         for dest in trace.destinations[i]:
             expected.update(path_between(tree, i, dest))
         expected.discard(i)
         assert list(graph.out_edges[i]) == sorted(expected)
-        if params.variant is Variant.LEAF_ACTIVE and tree.children[i]:
+        if params.variant is Variant.LEAF_ACTIVE and tree.children(i):
             assert trace.selection_counts[i] == 0
 
 

@@ -14,6 +14,7 @@ from hiddentree import (
     ParameterError,
     TreeParams,
     UndirectedGraph,
+    build_tree,
     generate,
     giant_component,
     giant_members,
@@ -267,6 +268,15 @@ def test_graph_stages_hold_no_object_per_node():
     gc.collect()
     assert len(gc.get_objects()) - before < 50
     assert giant.node_count == len(members) > 10000
+
+
+def test_tree_holds_no_object_per_node():
+    gc.collect()
+    before = len(gc.get_objects())
+    tree = build_tree(TreeParams(20000, 2.0, seed=7))
+    gc.collect()
+    assert len(gc.get_objects()) - before < 50
+    assert tree.node_count == 20000
 
 
 def test_rows_are_read_only_views():

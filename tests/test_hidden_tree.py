@@ -7,7 +7,7 @@ from collections import deque
 import pytest
 
 from hiddentree import HiddenTree, ParameterError, TreeParams, build_tree, lca, path_between
-from hiddentree.hidden_tree import write_tree_dump
+from hiddentree.hidden_tree import climb, write_tree_dump
 
 
 def ancestor_chain(tree, u):
@@ -44,6 +44,24 @@ def bfs_path(tree, start, goal):
     return path
 
 
+def climb_by_depth(tree, u, v):
+    """Reference climb: equalise depths, then step both ends in lockstep."""
+    up = [u]
+    down = []
+    while tree.depth[u] > tree.depth[v]:
+        u = tree.parent[u]
+        up.append(u)
+    while tree.depth[v] > tree.depth[u]:
+        down.append(v)
+        v = tree.parent[v]
+    while u != v:
+        down.append(v)
+        u = tree.parent[u]
+        v = tree.parent[v]
+        up.append(u)
+    return up, down
+
+
 def random_tree(rng):
     params = TreeParams(
         node_count=rng.randint(2, 200),
@@ -58,7 +76,7 @@ def test_integer_branching_gives_complete_binary_shape():
         tree = build_tree(TreeParams(node_count=7, branching=2.0, seed=seed))
         assert tree.parent == [-1, 0, 0, 1, 1, 2, 2]
         assert tree.depth == [0, 1, 1, 2, 2, 2, 2]
-        assert tree.children[0] == [1, 2]
+        assert list(tree.children(0)) == [1, 2]
 
 
 def test_integer_branching_matches_closed_form():
@@ -80,7 +98,7 @@ def test_fractional_tree_has_full_edge_count_and_target_mean():
     assert sum(1 for i in range(1, 1000) if 0 <= tree.parent[i] < i) == 999
     # Nodes before the truncation point received their full child draw.
     last_parent = tree.parent[-1]
-    counts = [len(tree.children[i]) for i in range(last_parent)]
+    counts = [len(tree.children(i)) for i in range(last_parent)]
     mean = sum(counts) / len(counts)
     assert 1.35 <= mean <= 1.65
 
@@ -110,6 +128,22 @@ def test_lca_matches_ancestor_set_intersection():
             u, v = rng.randrange(n), rng.randrange(n)
             common = ancestor_chain(tree, u) & ancestor_chain(tree, v)
             assert lca(tree, u, v) == max(common, key=lambda w: tree.depth[w])
+
+
+def test_climb_matches_depth_equalising_reference():
+    rng = random.Random(23)
+    trees = [build_tree(TreeParams(node_count=60, branching=1.0, seed=3))]
+    trees += [random_tree(rng) for _ in range(20)]
+    for tree in trees:
+        n = tree.node_count
+        pairs = [(u, u) for u in range(n)]
+        for _ in range(100):
+            descendant = rng.randrange(n)
+            ancestor = rng.choice(sorted(ancestor_chain(tree, descendant)))
+            pairs += [(descendant, ancestor), (ancestor, descendant)]
+            pairs.append((rng.randrange(n), rng.randrange(n)))
+        for u, v in pairs:
+            assert climb(tree, u, v) == climb_by_depth(tree, u, v)
 
 
 def test_path_on_complete_binary_tree():
@@ -152,11 +186,12 @@ def test_structure_invariants_on_random_trees():
     for _ in range(20):
         tree = random_tree(rng)
         n = tree.node_count
-        assert sum(len(ch) for ch in tree.children) == n - 1
+        assert sum(len(tree.children(i)) for i in range(n)) == n - 1
+        assert all(tree.parent[c] == i for i in range(n) for c in tree.children(i))
         for i in range(1, n):
             assert tree.parent[i] < i
             assert tree.depth[i] == tree.depth[tree.parent[i]] + 1
-        assert all(not tree.children[leaf] for leaf in tree.leaves())
+        assert all(not tree.children(leaf) for leaf in tree.leaves())
 
 
 def test_parameter_validation():
@@ -171,6 +206,8 @@ def test_parameter_validation():
         HiddenTree([0, 0])
     with pytest.raises(ParameterError):
         HiddenTree([-1, 2, 1])
+    with pytest.raises(ParameterError, match="breadth-first"):
+        HiddenTree([-1, 0, 1, 0])
 
 
 def test_node_id_range_checks():
