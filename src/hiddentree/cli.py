@@ -323,7 +323,6 @@ def _params_echo(params: ModelParams) -> dict:
         "tree_seed": params.tree.seed,
         "variant": params.variant.value,
         "include_tree_edges": params.include_tree_edges,
-        "allow_self_selection": params.allow_self_selection,
     }
 
 
@@ -361,6 +360,18 @@ def _write_json(path: Path, payload: dict) -> None:
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _check_outputs(args: argparse.Namespace, *outputs: Path) -> None:
+    """Raise ParameterError, before anything is written, if an output path
+    resolves to an input file of ``args`` or to another output."""
+    inputs = [getattr(args, name, None) for name in ("edge_list", "config")]
+    seen = {Path(path).resolve(): "an input" for path in inputs if path}
+    for path in outputs:
+        key = path.resolve()
+        if key in seen:
+            raise ParameterError(f"output path {path} is also {seen[key]}")
+        seen[key] = "another output"
+
+
 def _format_value(value) -> str:
     if isinstance(value, int):
         return str(value)
@@ -372,10 +383,18 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     params = _model_params(
         args, args.seed, _tree_seed(args), args.nodes, args.branching, args.activity
     )
-    tree = build_tree(params.tree)
-    graph = generate(params, tree=tree)
     out_path = Path(args.out)
     manifest_path = Path(str(out_path) + ".manifest.json")
+    paths = [out_path, manifest_path]
+    if args.tree_dump:
+        dump_path = Path(args.tree_dump)
+        # The manifest names its outputs by file name.
+        if dump_path.name in (out_path.name, manifest_path.name):
+            raise ParameterError(f"--tree-dump {dump_path} has the file name of another output")
+        paths.append(dump_path)
+    _check_outputs(args, *paths)
+    tree = build_tree(params.tree)
+    graph = generate(params, tree=tree)
     # The manifest is written last: one left from an earlier run must not
     # describe outputs this run replaces.
     manifest_path.unlink(missing_ok=True)
@@ -383,7 +402,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         write_edge_list(graph, fh)
     outputs = {out_path.name: _sha256(out_path)}
     if args.tree_dump:
-        dump_path = Path(args.tree_dump)
         with _atomic_open(dump_path) as fh:
             write_tree_dump(tree, fh)
         outputs[dump_path.name] = _sha256(dump_path)
@@ -399,6 +417,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     in_path = Path(args.edge_list)
+    stem = Path(args.out) if args.out else in_path.with_suffix("")
+    txt_path, json_path, ccdf_path = (
+        Path(f"{stem}.{suffix}") for suffix in ("report.txt", "report.json", "ccdf.tsv")
+    )
+    _check_outputs(args, txt_path, json_path, ccdf_path)
 
     def load_graph():
         with in_path.open() as fh:
@@ -410,11 +433,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         fit_kmax=args.fit_kmax,
         path_samples=args.path_samples,
     )
-    stem = Path(args.out) if args.out else in_path.with_suffix("")
     text = format_report(analysis.record)
-    _write_text(Path(f"{stem}.report.txt"), text)
-    _write_json(Path(f"{stem}.report.json"), analysis.record)
-    with _atomic_open(Path(f"{stem}.ccdf.tsv")) as fh:
+    _write_text(txt_path, text)
+    _write_json(json_path, analysis.record)
+    with _atomic_open(ccdf_path) as fh:
         write_ccdf(analysis.ccdf, fh)
     sys.stdout.write(text)
     return EXIT_OK
@@ -561,6 +583,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_export_dot(args: argparse.Namespace) -> int:
     in_path = Path(args.edge_list)
+    out_path = Path(args.out) if args.out else in_path.with_suffix(".dot")
+    _check_outputs(args, out_path)
     with in_path.open() as fh:
         graph = read_edge_list(fh)
     projection = undirected_projection(graph)
@@ -570,7 +594,6 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
         members = giant_members(projection)
     else:
         members = range(len(neighbors))
-    out_path = Path(args.out) if args.out else in_path.with_suffix(".dot")
     with _atomic_open(out_path) as fh:
         fh.write("graph g {\n")
         fh.write("".join(f"  {node};\n" for node in members))

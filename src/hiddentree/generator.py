@@ -70,7 +70,6 @@ class ModelParams:
     activity: float
     seed: int = 0
     variant: Variant = Variant.ALL_ACTIVE
-    allow_self_selection: bool = False
     include_tree_edges: bool = False
 
     def __post_init__(self):
@@ -129,7 +128,6 @@ def _run(
     parent, children = tree.parent, tree.children
     leaf_only = params.variant is Variant.LEAF_ACTIVE
     activity = params.activity
-    keep_self = params.allow_self_selection
 
     # Random(x) is seed(x) on a new object, so reseeding one object gives
     # every node the same stream and saves constructing n of them.
@@ -158,14 +156,10 @@ def _run(
                     if dest != i:
                         kept.append(dest)
                         edges_i.add(dest)
-                        up, down = climb(tree, i, dest)
-                        for path in (up, down):
-                            for v in path:
-                                if v != i and v not in edges_i:
-                                    edges_i.add(v)
-                                    closure_added += 1
-                    elif keep_self:
-                        kept.append(dest)
+                        before = len(edges_i)
+                        edges_i.update(*climb(tree, i, dest))
+                        edges_i.discard(i)
+                        closure_added += len(edges_i) - before
                 act -= 1
         targets.fromlist(sorted(edges_i))
         offsets.append(len(targets))

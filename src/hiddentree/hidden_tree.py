@@ -3,7 +3,7 @@
 The tree is rooted at node 0 and nodes are numbered in breadth-first
 order, so ``parent[i] < i`` for every non-root node and ``parent`` never
 decreases: each node's children are a run of consecutive ids. The tree
-is kept as its parent and depth lists plus one array of child offsets,
+is kept as parent, depth and child-offset ``array('i')`` columns of its own,
 with no container per node. The average number of children per internal
 node is controlled by a real-valued branching factor: a node due for
 children receives ``floor(branching)`` of them plus one more with
@@ -17,7 +17,7 @@ import random
 from array import array
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import TextIO
+from typing import Iterable, TextIO
 
 from .errors import ParameterError
 from .graph import node_count_error
@@ -47,17 +47,22 @@ class HiddenTree:
     """Immutable rooted tree over nodes 0..N-1 in breadth-first numbering.
 
     ``parent[0]`` is -1; ``depth[0]`` is 0. Node u's children are ids
-    ``first[u]`` to ``first[u+1] - 1``. Safe for concurrent read-only use
-    once constructed.
+    ``first[u]`` to ``first[u+1] - 1``. The parent ids are copied in, so the
+    tree does not follow later changes to the caller's sequence. Safe for
+    concurrent read-only use once constructed.
     """
 
     __slots__ = ("parent", "depth", "first")
 
-    def __init__(self, parent: list[int]):
+    def __init__(self, parent: Iterable[int]):
+        try:
+            parent = array("i", parent)
+        except (TypeError, OverflowError) as exc:
+            raise ParameterError(f"parent array must hold int node ids: {exc}") from None
         if not parent or parent[0] != -1:
             raise ParameterError("parent array must start with -1 for the root")
         n = len(parent)
-        depth = [0] * n
+        depth = array("i", [0]) * n
         child_count = [0] * n
         previous = 0
         for i in range(1, n):

@@ -69,6 +69,9 @@ def test_generate_manifest_digests_verify(tmp_path):
         assert digest == f"sha256:{recomputed}"
     assert manifest["params"]["nodes"] == 200
     assert manifest["params"]["tree_seed"] == 3
+    assert set(manifest["params"]) == {
+        "nodes", "branching", "activity", "seed", "tree_seed", "variant", "include_tree_edges"
+    }
 
 
 def test_generate_rerun_is_byte_identical(tmp_path):
@@ -187,6 +190,37 @@ def test_failed_rerun_keeps_earlier_outputs_whole(tmp_path, monkeypatch):
     # The new edge list is complete, the tree dump is the earlier one.
     assert (tmp_path / "net.edges").read_bytes() != first
     assert not (tmp_path / "net.edges.manifest.json").exists()
+
+
+MODEL = ("--nodes", 300, "--branching", "2.0", "--activity", 0.4)
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", *MODEL, "--out", "net.edges", "--tree-dump", "net.edges"),
+    ("generate", *MODEL, "--out", "net.edges", "--tree-dump", "net.edges.manifest.json"),
+    ("generate", *MODEL, "--out", "net.edges", "--tree-dump", "sub/net.edges"),
+    ("generate", *MODEL, "--out", "net.edges", "--tree-dump", "alias.tree"),
+    ("generate", "--config", "model.cfg", "--out", "model.cfg"),
+    ("analyze", "net.report.txt", "--out", "net"),
+    ("analyze", "net.edges", "--out", "sub/../run", "--config", "run.ccdf.tsv"),
+    ("export-dot", "net.edges", "--out", "net.edges"),
+    ("export-dot", "net.dot"),
+], ids=["dump-is-out", "dump-is-manifest", "dump-shares-name", "dump-links-to-out",
+        "out-is-config", "report-is-input", "ccdf-is-config", "dot-is-input", "default-dot-is-input"])
+def test_colliding_output_paths_exit_before_any_write(tmp_path, monkeypatch, argv):
+    """An output path that resolves to an input or to another output is
+    rejected before a file is written or removed."""
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*GENERATE) == 0
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "alias.tree").symlink_to(tmp_path / "net.edges")
+    (tmp_path / "model.cfg").write_text("nodes = 300\nbranching = 2.0\nactivity = 0.4\n")
+    (tmp_path / "run.ccdf.tsv").write_text("path_samples = 20\n")
+    for name in ("net.report.txt", "net.dot"):
+        (tmp_path / name).write_bytes((tmp_path / "net.edges").read_bytes())
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    assert run_cli(*argv) == 1
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
 
 
 def test_analyze_triangle(tmp_path, capsys):

@@ -65,13 +65,6 @@ def test_chain_trace_leaf_active():
     assert list(graph.edges()) == [(2, 0), (2, 1)]
 
 
-def test_self_selection_flag_keeps_draw_but_never_stores_self_edge():
-    strict = generate(chain_params())
-    loose, trace = generate_with_trace(chain_params(allow_self_selection=True))
-    assert trace.destinations == [(0,), (1,), (0,)]
-    assert list(loose.edges()) == list(strict.edges())
-
-
 def test_mean_selection_count_tracks_activity():
     activity = 1.28
     n = 5000
@@ -120,14 +113,13 @@ def model_bases(draw):
         seed=draw(st.integers(0, 2**16)),
         variant=draw(st.sampled_from(Variant)),
         include_tree_edges=draw(st.booleans()),
-        allow_self_selection=draw(st.booleans()),
     )
 
 
 # A 40-node tree whose nodes each select at activity 1.3.
 CROSSING_BASE = dict(
     tree=TreeParams(40, 2.0, seed=3), seed=5, variant=Variant.ALL_ACTIVE,
-    include_tree_edges=False, allow_self_selection=False,
+    include_tree_edges=False,
 )
 
 
@@ -242,7 +234,7 @@ PINNED_EDGE_LISTS = [
                  variant=Variant.LEAF_ACTIVE),
      "f95dffeace380360b32959364b17e8909c38606a8287258c5d5b84701a208941"),
     (ModelParams(tree=TreeParams(300, 1.5, seed=13), activity=1.7, seed=7,
-                 allow_self_selection=True, include_tree_edges=True),
+                 include_tree_edges=True),
      "abed6f47818540111c85536551473b31fdee1ff46e30516e359320eed929c74f"),
 ]
 

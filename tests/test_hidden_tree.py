@@ -74,8 +74,8 @@ def random_tree(rng):
 def test_integer_branching_gives_complete_binary_shape():
     for seed in (0, 99):
         tree = build_tree(TreeParams(node_count=7, branching=2.0, seed=seed))
-        assert tree.parent == [-1, 0, 0, 1, 1, 2, 2]
-        assert tree.depth == [0, 1, 1, 2, 2, 2, 2]
+        assert list(tree.parent) == [-1, 0, 0, 1, 1, 2, 2]
+        assert list(tree.depth) == [0, 1, 1, 2, 2, 2, 2]
         assert list(tree.children(0)) == [1, 2]
 
 
@@ -87,8 +87,8 @@ def test_integer_branching_matches_closed_form():
 
 def test_single_node_tree():
     tree = build_tree(TreeParams(node_count=1, branching=2.0))
-    assert tree.parent == [-1]
-    assert tree.depth == [0]
+    assert list(tree.parent) == [-1]
+    assert list(tree.depth) == [0]
     assert tree.node_count == 1
     assert tree.leaves() == [0]
 
@@ -192,6 +192,15 @@ def test_structure_invariants_on_random_trees():
             assert tree.parent[i] < i
             assert tree.depth[i] == tree.depth[tree.parent[i]] + 1
         assert all(not tree.children(leaf) for leaf in tree.leaves())
+        # The tree keeps columns of its own: changing the list it was
+        # built from changes neither its parents, its children nor lca.
+        ids = list(tree.parent)
+        copy = HiddenTree(ids)
+        ids[1:] = [0] * (n - 1)
+        assert copy.parent == tree.parent
+        assert all(copy.children(i) == tree.children(i) for i in range(n))
+        pairs = [(u, (7 * u + 3) % n) for u in range(n)]
+        assert [lca(copy, u, v) for u, v in pairs] == [lca(tree, u, v) for u, v in pairs]
 
 
 def test_parameter_validation():
@@ -208,6 +217,10 @@ def test_parameter_validation():
         HiddenTree([-1, 2, 1])
     with pytest.raises(ParameterError, match="breadth-first"):
         HiddenTree([-1, 0, 1, 0])
+    # Entries must be ints that an array('i') column holds.
+    for bad in (1.0, 2**31):
+        with pytest.raises(ParameterError, match="node ids"):
+            HiddenTree([-1, 0, bad])
 
 
 def test_node_id_range_checks():

@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hiddentree import (
     ALL,
@@ -66,18 +68,46 @@ def test_ccdf_matches_brute_force_counter():
         assert list(ccdf.points) == brute_force_ccdf(degrees)
 
 
-def test_ccdf_invariants_and_count_round_trip():
+def seeded_degrees():
     rng = random.Random(42)
-    degrees = [rng.randint(0, 50) for _ in range(500)]
+    return [rng.randint(0, 50) for _ in range(500)]
+
+
+@st.composite
+def degree_sequences(draw):
+    """Shuffled degree sequences with at least one positive entry: small
+    degrees, one distinct degree, or a heavy tail, each with zeros mixed in."""
+    shape = draw(st.sampled_from(["small", "single", "heavy"]))
+    if shape == "small":
+        positive = draw(st.lists(st.integers(1, 50), min_size=1, max_size=300))
+    elif shape == "single":
+        positive = [draw(st.integers(1, 10**6))] * draw(st.integers(1, 300))
+    else:
+        # Log-uniform magnitudes: many small degrees, a few up to 2**40.
+        magnitudes = st.integers(0, 40).flatmap(lambda e: st.integers(1, 2**e))
+        positive = draw(st.lists(magnitudes, min_size=1, max_size=300))
+    zeros = [0] * draw(st.integers(0, 100))
+    return draw(st.permutations(positive + zeros))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(degree_sequences())
+@example(seeded_degrees())
+def test_ccdf_invariants_and_count_round_trip(degrees):
     ccdf = degree_ccdf(degrees)
     ks = [k for k, _ in ccdf.points]
     ps = [p for _, p in ccdf.points]
-    assert ks == sorted(set(ks))
+    assert ks == sorted({d for d in degrees if d > 0})
+    assert ccdf.positive_nodes == sum(1 for d in degrees if d > 0)
     assert all(a >= b for a, b in zip(ps, ps[1:]))
     assert ps[0] == 1.0
     assert all(p > 0 for p in ps)
+    at_least = {k: sum(1 for d in degrees if d >= k) for k in ks}
     for k, p in ccdf.points:
-        assert round(p * ccdf.positive_nodes) == sum(1 for d in degrees if d >= k)
+        assert round(p * ccdf.positive_nodes) == at_least[k]
+    # default_fit_kmax: the largest degree at least 10 nodes reach, else the smallest.
+    backed = [k for k in ks if at_least[k] >= 10]
+    assert default_fit_kmax(ccdf) == max(backed, default=ks[0])
 
 
 def test_fit_recovers_exact_power_law():
