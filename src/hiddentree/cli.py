@@ -442,6 +442,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _run_files(tag: str, keep_edges: bool) -> list[str]:
+    """The names of the files one sweep run writes: its CCDF and, with
+    ``keep_edges``, its edge list."""
+    files = [f"ccdf_{tag}.tsv"]
+    if keep_edges:
+        files.append(f"edges_{tag}.csv")
+    return files
+
+
 def _run_point(
     params: ModelParams,
     tag: str,
@@ -450,14 +459,12 @@ def _run_point(
     fit_kmin: int,
     fit_kmax: Optional[int],
     path_samples,
-) -> tuple[dict, list[str]]:
-    """Generate and analyze one sweep run, and write its CCDF (and, with
-    ``keep_edges``, its edge list) into ``out_dir``. Returns the run's
-    report record and the names of the files written. It is a module
-    function of plain arguments, so a worker process can run it."""
-    files = [f"ccdf_{tag}.tsv"]
-    if keep_edges:
-        files.append(f"edges_{tag}.csv")
+) -> dict:
+    """Generate and analyze one sweep run, and write its
+    :func:`_run_files` into ``out_dir``. Returns the run's report record.
+    It is a module function of plain arguments, so a worker process can
+    run it."""
+    files = _run_files(tag, keep_edges)
 
     def load_graph():
         graph = generate(params)
@@ -471,7 +478,7 @@ def _run_point(
     )
     with _atomic_open(out_dir / files[0]) as fh:
         write_ccdf(analysis.ccdf, fh)
-    return analysis.record, files
+    return analysis.record
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -514,8 +521,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             runs.append((value, replicate, params))
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = out_dir / "manifest.json"
+    summary_path = out_dir / "summary.tsv"
+    tags = [f"{args.kind}={_format_value(value)}_rep{r}" for value, r, _ in runs]
+    run_files = [name for tag in tags for name in _run_files(tag, args.keep_edges)]
+    _check_outputs(args, manifest_path, summary_path, *(out_dir / name for name in run_files))
+    out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path.unlink(missing_ok=True)
 
     run_point = partial(
@@ -527,7 +538,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         path_samples=args.path_samples,
     )
     all_params = [params for _, _, params in runs]
-    tags = [f"{args.kind}={_format_value(value)}_rep{r}" for value, r, _ in runs]
     workers = min(args.jobs, len(runs))
     if workers == 1:
         results = list(map(run_point, all_params, tags))
@@ -542,13 +552,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             results = list(pool.map(run_point, all_params, tags))
 
     lines = ["\t".join(["value", "replicate", *_SUMMARY_COLUMNS])]
-    for (value, replicate, _), (record, _) in zip(runs, results):
+    for (value, replicate, _), record in zip(runs, results):
         fields = [format_field(record[key]) for key in _SUMMARY_COLUMNS.values()]
         lines.append("\t".join([_format_value(value), str(replicate), *fields]))
-    summary_path = out_dir / "summary.tsv"
     _write_text(summary_path, "\n".join(lines) + "\n")
 
-    file_names = sorted(name for _, files in results for name in files)
+    file_names = sorted(run_files)
     file_names.append(summary_path.name)
     manifest = {
         "command": "sweep",
@@ -564,7 +573,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "include_tree_edges": args.include_tree_edges,
             "fit_kmin": args.fit_kmin,
             "fit_kmax": "auto" if args.fit_kmax is None else args.fit_kmax,
-            "path_samples": "all" if args.path_samples == ALL else args.path_samples,
+            "path_samples": args.path_samples,
         },
         "runs": [
             {

@@ -15,7 +15,7 @@ from array import array
 from bisect import bisect_left
 from itertools import accumulate, chain, islice, repeat
 from operator import eq, ge, sub
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, Optional, TextIO
 
 from .errors import EdgeListFormatError, ParameterError
 
@@ -101,20 +101,13 @@ class DirectedGraph(_Csr):
 
     def __init__(self, node_count: int, edges: Iterable[tuple[int, int]] = ()):
         edges = list(edges)
-        error = _first_bad_edge(node_count, edges)[1]
+        error = _edge_error(node_count, edges)
         if error:
             raise ParameterError(error)
         edges = sorted(set(edges))
         out_degree = _count([src for src, _ in edges], node_count)
         self.offsets = array("q", accumulate(out_degree, initial=0))
         self.targets = array("i", [dst for _, dst in edges])
-        self._in_degree = None
-
-    @classmethod
-    def _adopt(cls, offsets: array, targets: array) -> "DirectedGraph":
-        g = super()._adopt(offsets, targets)
-        g._in_degree = None
-        return g
 
     @property
     def out_edges(self) -> Rows:
@@ -124,9 +117,10 @@ class DirectedGraph(_Csr):
     @property
     def in_degree(self) -> list[int]:
         """In-degree of every node, counted from the targets on first read."""
-        if self._in_degree is None:
-            self._in_degree = _count(self.targets, self.node_count)
-        return self._in_degree
+        in_degree = getattr(self, "_in_degree", None)
+        if in_degree is None:
+            in_degree = self._in_degree = _count(self.targets, self.node_count)
+        return in_degree
 
     @property
     def edge_count(self) -> int:
@@ -278,17 +272,17 @@ def read_edge_list(stream: TextIO) -> DirectedGraph:
         raise EdgeListFormatError(1, node_count_error(node_count))
 
     # Lines are parsed a block at a time into two columns. A block whose
-    # ids are all in range and that has no self-loop is appended to them;
-    # the first block that is not is kept aside to find the bad edge, and
-    # later blocks are only parsed and counted.
+    # ids are all in range and that has no self-loop is appended to them.
+    # The first block that is not gives the error, found by a rescan of its
+    # lines; later blocks are only parsed, as a malformed line wins.
     srcs = array("i")
     dsts = array("i")
-    bad_block: tuple[list[int], list[int]] = ([], [])
+    error = None  # the first out-of-range edge or self-loop
     in_order = True  # the edges so far run in strictly ascending order
-    parsed = 0
     blank_lines: list[int] = []
-    first_line = 2
+    next_line = 2
     while block := stream.readlines(_BLOCK_CHARS):
+        first_line, next_line = next_line, next_line + len(block)
         lines = list(map(str.strip, block))
         if "" in lines:
             blank_lines += [no for no, line in enumerate(lines, first_line) if not line]
@@ -301,14 +295,12 @@ def read_edge_list(stream: TextIO) -> DirectedGraph:
             block_srcs = list(map(int, fields[::2]))
             block_dsts = list(map(int, fields[1::2]))
         except ValueError:
-            raise _first_line_error(block, first_line) from None
-        first_line += len(block)
-        parsed += len(block_srcs)
-        if bad_block[0] or not block_srcs:
+            raise _line_error(block, first_line, None) from None
+        if error is not None or not block_srcs:
             continue
         ids = block_srcs + block_dsts
         if min(ids) < 0 or max(ids) >= node_count or any(map(eq, block_srcs, block_dsts)):
-            bad_block = (block_srcs, block_dsts)
+            error = _line_error(block, first_line, node_count)
             continue
         if in_order:
             edges = zip(block_srcs, block_dsts)
@@ -319,13 +311,13 @@ def read_edge_list(stream: TextIO) -> DirectedGraph:
         srcs.fromlist(block_srcs)
         dsts.fromlist(block_dsts)
 
-    if parsed != edge_count:
-        raise EdgeListFormatError(1, f"header says {edge_count} edges, file has {parsed}")
-    if node_count < 1 or bad_block[0]:
-        edges = chain(zip(srcs, dsts), zip(*bad_block))
-        index, error = _first_bad_edge(node_count, edges)
-        # With no bad edge (index -1) the header's node count is at fault: line 1.
-        raise EdgeListFormatError(_edge_line(index, blank_lines), error)
+    edges_read = next_line - 2 - len(blank_lines)
+    if edges_read != edge_count:
+        raise EdgeListFormatError(1, f"header says {edge_count} edges, file has {edges_read}")
+    if error is None and node_count < 1:
+        error = EdgeListFormatError(1, node_count_error(node_count))
+    if error is not None:
+        raise error
 
     if in_order:
         # The order write_edge_list writes: the columns are already CSR,
@@ -339,9 +331,10 @@ def read_edge_list(stream: TextIO) -> DirectedGraph:
     return DirectedGraph._adopt(offsets, targets)
 
 
-def _first_line_error(block: list[str], first_line: int) -> EdgeListFormatError:
+def _line_error(block: list[str], first_line: int, node_count: Optional[int]) -> EdgeListFormatError:
     """The error of the first line of ``block`` that is not blank and not
-    ``src,dst`` with integer ids; ``block`` starts at line ``first_line``."""
+    ``src,dst`` with integer ids or, given a ``node_count``, whose edge
+    :func:`_edge_error` rejects; ``block`` starts at line ``first_line``."""
     for line_no, line in enumerate(block, first_line):
         line = line.strip()
         if not line:
@@ -350,10 +343,14 @@ def _first_line_error(block: list[str], first_line: int) -> EdgeListFormatError:
         if not sep:
             return EdgeListFormatError(line_no, f"expected 'src,dst', got {line!r}")
         try:
-            int(src_s), int(dst_s)
+            edge = int(src_s), int(dst_s)
         except ValueError:
             return EdgeListFormatError(line_no, f"non-integer node id in {line!r}")
-    raise ValueError("block holds no malformed line")
+        if node_count is not None:
+            error = _edge_error(node_count, [edge])
+            if error:
+                return EdgeListFormatError(line_no, error)
+    raise ValueError("block holds no bad line")
 
 
 def _count(keys: Iterable[int], n: int) -> list[int]:
@@ -400,21 +397,19 @@ def _raise_first_repeat(srcs: array, dsts: array, blank_lines: list[int]) -> Non
             )
 
 
-def _first_bad_edge(node_count: int, edges: Iterable[tuple[int, int]]) -> tuple[int, str]:
-    """The index of the first edge out of range or a self-loop (-1 if
-    none) and the error :class:`DirectedGraph` raises for these edges (""
-    if none). A node count outside [1, NODE_LIMIT) is the error whatever
-    the edges."""
-    for i, (src, dst) in enumerate(edges):
+def _edge_error(node_count: int, edges: Iterable[tuple[int, int]]) -> str:
+    """The error :class:`DirectedGraph` raises for these edges ("" if
+    none): the first edge out of range or a self-loop. A node count outside
+    [1, NODE_LIMIT) is the error whatever the edges."""
+    error = node_count_error(node_count)
+    if error:
+        return error
+    for src, dst in edges:
         if not (0 <= src < node_count and 0 <= dst < node_count):
-            error = f"edge ({src}, {dst}) references node out of range"
-            break
+            return f"edge ({src}, {dst}) references node out of range"
         if src == dst:
-            error = f"self-loop ({src}, {dst}) not allowed"
-            break
-    else:
-        i, error = -1, ""
-    return i, node_count_error(node_count) or error
+            return f"self-loop ({src}, {dst}) not allowed"
+    return ""
 
 
 def _edge_line(index: int, blank_lines: list[int]) -> int:

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 from operator import sub
-from typing import Callable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .errors import (
     ConnectivityError,
@@ -139,11 +139,11 @@ def fit_power_law(ccdf: Ccdf, k_min: int, k_max: int) -> PowerLawFit:
             f"need >= 5 distribution points in [{k_min}, {k_max}], found {len(xs)}"
         )
     n = len(xs)
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    sxx = sum((x - mean_x) ** 2 for x in xs)
-    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    syy = sum((y - mean_y) ** 2 for y in ys)
+    mean_x = _plain_sum(xs) / n
+    mean_y = _plain_sum(ys) / n
+    sxx = _plain_sum((x - mean_x) ** 2 for x in xs)
+    sxy = _plain_sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+    syy = _plain_sum((y - mean_y) ** 2 for y in ys)
     if sxx == 0:
         raise InsufficientDataError("degenerate fit range: single distinct degree")
     slope = sxy / sxx
@@ -172,7 +172,17 @@ def fit_power_law_mle(degrees: list[int], k_min: int) -> float:
     tail = [d for d in degrees if d >= k_min]
     if not tail:
         raise InsufficientDataError(f"no degrees >= {k_min}")
-    return 1.0 + len(tail) / sum(math.log(d / (k_min - 0.5)) for d in tail)
+    return 1.0 + len(tail) / _plain_sum(math.log(d / (k_min - 0.5)) for d in tail)
+
+
+def _plain_sum(values: Iterable[float]) -> float:
+    """Left-to-right float sum. Since Python 3.12 ``sum()`` of floats is
+    compensated, which would make the fitted values depend on the Python
+    version."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def avg_clustering(g: UndirectedGraph) -> float:

@@ -14,6 +14,7 @@ from hiddentree import (
     fit_power_law,
     generate_ba,
     generate_er,
+    giant_members,
 )
 
 
@@ -86,6 +87,17 @@ def test_ba_defaults_seed_size_to_attachment_count():
     assert params.seed_size == 2
     graph = generate_ba(params)
     assert graph.edge_count == 1 + 48 * 2
+
+
+def test_ba_single_node_seed_starts_from_an_empty_urn():
+    # With one edge per arrival the seed is one node and no edge, so the
+    # first arrival has no endpoint to draw from: the result is a tree.
+    params = BaParams(node_count=50, edges_per_new_node=1, seed=3)
+    graph = generate_ba(params)
+    assert graph.edge_count == 49
+    assert len(giant_members(graph)) == 50
+    again = generate_ba(params)
+    assert [list(r) for r in again.neighbors] == [list(r) for r in graph.neighbors]
 
 
 def test_ba_determinism():

@@ -205,8 +205,12 @@ MODEL = ("--nodes", 300, "--branching", "2.0", "--activity", 0.4)
     ("analyze", "net.edges", "--out", "sub/../run", "--config", "run.ccdf.tsv"),
     ("export-dot", "net.edges", "--out", "net.edges"),
     ("export-dot", "net.dot"),
+    ("sweep", "--config", "sweep/manifest.json", "--out", "sweep"),
+    ("sweep", "--config", "sweep/summary.tsv", "--out", "sweep"),
+    ("sweep", "--config", "sweep/ccdf_activity=0.4_rep0.tsv", "--out", "sweep"),
 ], ids=["dump-is-out", "dump-is-manifest", "dump-shares-name", "dump-links-to-out",
-        "out-is-config", "report-is-input", "ccdf-is-config", "dot-is-input", "default-dot-is-input"])
+        "out-is-config", "report-is-input", "ccdf-is-config", "dot-is-input", "default-dot-is-input",
+        "sweep-config-is-manifest", "sweep-config-is-summary", "sweep-config-is-run-ccdf"])
 def test_colliding_output_paths_exit_before_any_write(tmp_path, monkeypatch, argv):
     """An output path that resolves to an input or to another output is
     rejected before a file is written or removed."""
@@ -216,6 +220,11 @@ def test_colliding_output_paths_exit_before_any_write(tmp_path, monkeypatch, arg
     (tmp_path / "alias.tree").symlink_to(tmp_path / "net.edges")
     (tmp_path / "model.cfg").write_text("nodes = 300\nbranching = 2.0\nactivity = 0.4\n")
     (tmp_path / "run.ccdf.tsv").write_text("path_samples = 20\n")
+    (tmp_path / "sweep").mkdir()
+    for name in ("manifest.json", "summary.tsv", "ccdf_activity=0.4_rep0.tsv"):
+        (tmp_path / "sweep" / name).write_text(
+            "kind = activity\nvalues = 0.2,0.4\nnodes = 200\nbranching = 2.0\npath_samples = 20\n"
+        )
     for name in ("net.report.txt", "net.dot"):
         (tmp_path / name).write_bytes((tmp_path / "net.edges").read_bytes())
     before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}

@@ -170,6 +170,18 @@ def edge_list_texts(draw):
 
 @graph_settings
 @given(edge_list_texts(), st.sampled_from([1, 7, 64, 1 << 20, graph_module._BLOCK_CHARS]))
+# Error order: a malformed line wins over an earlier bad edge; a node count
+# below 1 is named at the first edge, or at line 1 when there is none.
+@example("# nodes=3 edges=3\n5,1\n0,1\na,1\n", 1)
+@example("# nodes=3 edges=3\n5,1\n0,1\na,1\n", 1 << 16)
+@example("# nodes=3 edges=3\n1,0\n0,1\n2,2\n", 1)
+@example("# nodes=3 edges=3\n1,0\n0,1\n2,2\n", 1 << 16)
+@example("# nodes=0 edges=2\n\n0,1\n1,0\n", 1)
+@example("# nodes=0 edges=2\n\n0,1\n1,0\n", 1 << 16)
+@example("# nodes=0 edges=0\n", 1)
+@example("# nodes=0 edges=0\n", 1 << 16)
+@example("# nodes=3 edges=3\n0,1\n\n1,2\n0,1\n", 1)
+@example("# nodes=3 edges=3\n0,1\n\n1,2\n0,1\n", 1 << 16)
 def test_reader_matches_line_by_line_oracle(text, block_chars):
     expected = outcome(oracle_read_edge_list, text)
     # Small blocks put block boundaries between any two lines.
