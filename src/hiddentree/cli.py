@@ -525,7 +525,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     summary_path = out_dir / "summary.tsv"
     tags = [f"{args.kind}={_format_value(value)}_rep{r}" for value, r, _ in runs]
     run_files = [name for tag in tags for name in _run_files(tag, args.keep_edges)]
-    _check_outputs(args, manifest_path, summary_path, *(out_dir / name for name in run_files))
+    _check_outputs(
+        args, out_dir, manifest_path, summary_path, *(out_dir / name for name in run_files)
+    )
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path.unlink(missing_ok=True)
 

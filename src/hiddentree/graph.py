@@ -171,14 +171,24 @@ def undirected_projection(g: DirectedGraph) -> UndirectedGraph:
     ascending order, so each in-row comes out sorted. A node's row is
     then its in-row merged with its out-row. A DirectedGraph is already
     valid, so nothing is checked again.
+
+    One buffer of 2m entries (m directed edges) holds both: the in-rows
+    are grouped into its upper half, so row v's in-row starts at
+    in_offsets[v] >= m, and the merged rows are written from its start.
+    A merged row is no longer than its out-row and in-row together, so
+    rows 0..v end at or below offsets[v+1] + in_offsets[v+1] - m <=
+    in_offsets[v+1], where row v+1's unread in-row starts; row v's own
+    in-row is copied out before row v is written.
     """
     offsets, targets = g.offsets, g.targets
+    m = len(targets)
     out_degree = map(sub, islice(offsets, 1, None), offsets)
     edge_sources = chain.from_iterable(map(repeat, range(g.node_count), out_degree))
-    in_offsets, sources = _group_by(targets, edge_sources, g.in_degree)
-    # Room for every out- and in-entry, cut to size at the end: growing
-    # the buffer row by row would copy it and leave the old copies behind.
-    nbr_targets = array("i", bytes(8 * len(targets)))
+    # Made by repetition, as a bytes() source would briefly be a second
+    # copy; cut to size at the end, as growing it row by row would copy
+    # it and leave the old copies behind.
+    buffer = array("i", [0]) * (2 * m)
+    in_offsets = _group_by(targets, edge_sources, g.in_degree, buffer, m)
     nbr_offsets = array("q", [0])
     end = 0
     out_bounds = zip(offsets, islice(offsets, 1, None))
@@ -187,14 +197,14 @@ def undirected_projection(g: DirectedGraph) -> UndirectedGraph:
         if c == d:
             row = targets[a:b]
         elif a == b:
-            row = sources[c:d]
+            row = buffer[c:d]
         else:
-            row = array("i", sorted({*targets[a:b], *sources[c:d]}))
-        nbr_targets[end:end + len(row)] = row
+            row = array("i", sorted({*targets[a:b], *buffer[c:d]}))
+        buffer[end:end + len(row)] = row
         end += len(row)
         nbr_offsets.append(end)
-    del nbr_targets[end:]
-    return UndirectedGraph._adopt(nbr_offsets, nbr_targets)
+    del buffer[end:]
+    return UndirectedGraph._adopt(nbr_offsets, buffer)
 
 
 def giant_members(g: UndirectedGraph) -> list[int]:
@@ -325,7 +335,8 @@ def read_edge_list(stream: TextIO) -> DirectedGraph:
         offsets = array("q", map(bisect_left, repeat(srcs), range(node_count + 1)))
         targets = dsts
     else:
-        offsets, targets = _group_by(srcs, dsts, _count(srcs, node_count))
+        targets = array("i", [0]) * len(dsts)
+        offsets = _group_by(srcs, dsts, _count(srcs, node_count), targets, 0)
         if _sort_rows(offsets, targets):
             _raise_first_repeat(srcs, dsts, blank_lines)
     return DirectedGraph._adopt(offsets, targets)
@@ -361,18 +372,20 @@ def _count(keys: Iterable[int], n: int) -> list[int]:
     return counts
 
 
-def _group_by(keys: array, values: Iterable[int], counts: list[int]) -> tuple[array, array]:
-    """A counting sort: the CSR offsets and targets of ``values`` grouped
-    into rows by their ``keys``, in the order given within each row.
+def _group_by(
+    keys: array, values: Iterable[int], counts: list[int], out: array, start: int
+) -> array:
+    """A counting sort: write ``values`` into ``out`` from position
+    ``start`` on, grouped into rows by their ``keys`` and in the order
+    given within each row, and return the rows' N+1 offsets into ``out``.
     ``counts[k]`` is how many keys equal k."""
-    offsets = array("q", accumulate(counts, initial=0))
+    offsets = array("q", accumulate(counts, initial=start))
     fill = offsets[:]
-    grouped = array("i", bytes(4 * len(keys)))
     for key, value in zip(keys, values):
         i = fill[key]
-        grouped[i] = value
+        out[i] = value
         fill[key] = i + 1
-    return offsets, grouped
+    return offsets
 
 
 def _sort_rows(offsets: array, targets: array) -> bool:

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from itertools import islice
-from operator import sub
-from typing import Callable, Iterable, Optional, Union
+from operator import or_, sub
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import (
     ConnectivityError,
@@ -22,7 +24,7 @@ from .errors import (
     InsufficientDataError,
     ParameterError,
 )
-from .graph import DirectedGraph, UndirectedGraph, giant_component, undirected_projection
+from .graph import DirectedGraph, UndirectedGraph, giant_members, undirected_projection
 
 __all__ = [
     "Ccdf",
@@ -185,8 +187,13 @@ def _plain_sum(values: Iterable[float]) -> float:
     return total
 
 
-def avg_clustering(g: UndirectedGraph) -> float:
-    """Mean local clustering over all nodes; degree-<2 nodes contribute 0.
+def avg_clustering(g: UndirectedGraph, members: Optional[Sequence[int]] = None) -> float:
+    """Mean local clustering over the ``members`` (default: all nodes);
+    degree-<2 nodes contribute 0.
+
+    ``members`` are sorted node ids closed under adjacency, such as
+    :func:`giant_members`; the result equals that of the induced subgraph
+    relabelled to 0..len(members)-1 in their order.
 
     Triangles are counted once each by degree-ordered forward intersection
     (Latapy 2008): every edge is oriented from the lower to the higher
@@ -197,21 +204,28 @@ def avg_clustering(g: UndirectedGraph) -> float:
     pair, and each per-node count equals that pair count exactly.
 
     Forward neighbours are kept as lists of one shared int object per
-    node, read from the CSR rows; only the current lowest corner's are
-    held as a set (compact-forward), so the kernel adds one list slot per
-    edge rather than a hash set per node.
+    node, read from the CSR rows, and an empty one as the shared empty
+    tuple; only the current lowest corner's are held as a set
+    (compact-forward), so the kernel adds one list slot per edge rather
+    than a hash set per node.
     """
     n = g.node_count
+    if members is None:
+        members = range(n)
     offsets, targets = g.offsets, memoryview(g.targets)
     degree = list(map(sub, islice(offsets, 1, None), offsets))
-    rank = [0] * n
-    for r, u in enumerate(sorted(range(n), key=degree.__getitem__)):
-        rank[u] = r
+    # One int object per id, shared by the ranks and the forward lists.
+    # Non-members keep rank 0: their neighbours are non-members too, so
+    # their forward lists come out empty.
     ids = list(range(n))
+    rank = [0] * n
+    for r, u in zip(ids, sorted(members, key=degree.__getitem__)):
+        rank[u] = r
     forward = [
-        [ids[v] for v in targets[a:b] if rank[v] > rank_u]
+        [ids[v] for v in targets[a:b] if rank[v] > rank_u] or ()
         for rank_u, a, b in zip(rank, offsets, islice(offsets, 1, None))
     ]
+    del rank, ids
     triangles = [0] * n
     for u in range(n):
         fwd_u = forward[u]
@@ -227,30 +241,39 @@ def avg_clustering(g: UndirectedGraph) -> float:
                 for w in common:
                     triangles[w] += 1
     total = 0.0
-    for i in range(n):
+    for i in members:
         d = degree[i]
         if d < 2:
             continue
         total += 2.0 * triangles[i] / (d * (d - 1))
-    return total / n
+    return total / len(members)
 
 
 # Sources per bit-parallel BFS pass: bounds the per-node bitsets to
 # 256 bits however many sources are requested.
 _BFS_CHUNK = 256
 
+# The BFS pushes from the frontier while its edge ends are fewer than
+# 1/_PULL_SHARE of the graph's, and pulls into the unfinished nodes after.
+_PULL_SHARE = 8
 
-def _distance_sum(g: UndirectedGraph, sources: list[int]) -> int:
-    """Sum of BFS distances from every source to every node.
+
+def _distance_sum(g: UndirectedGraph, sources: list[int], members: Sequence[int]) -> int:
+    """Sum of BFS distances from every source to every member.
 
     One level-synchronous BFS serves all sources at once (Then et al.
     2014): bit i of ``seen[v]`` says ``sources[i]`` has reached v, and a
-    level adds its depth once per newly set bit. Raises
-    :class:`ConnectivityError` if some source does not reach every node.
+    level adds its depth once per newly set bit. It is direction-optimizing
+    (Beamer, Asanovic & Patterson 2012): while the frontier is small, each
+    frontier node pushes its bits to its neighbours; once the frontier's
+    edge ends reach 1/8 of the graph's, each member not yet seen by every
+    source pulls the OR of its neighbours' frontier bits, and leaves the
+    pull list once it has them all. Raises :class:`ConnectivityError` if
+    some source does not reach every member.
     """
-    n = g.node_count
+    n = len(members)
     offsets, targets = g.offsets, memoryview(g.targets)
-    seen = [0] * n
+    seen = [0] * g.node_count
     frontier = {}
     for i, src in enumerate(sources):
         seen[src] = frontier[src] = 1 << i
@@ -258,6 +281,8 @@ def _distance_sum(g: UndirectedGraph, sources: list[int]) -> int:
     reached = len(sources)
     level = 0
     while frontier:
+        if _PULL_SHARE * sum(offsets[u + 1] - offsets[u] for u in frontier) >= len(targets):
+            break
         level += 1
         found = {}
         for u, bits in frontier.items():
@@ -270,6 +295,34 @@ def _distance_sum(g: UndirectedGraph, sources: list[int]) -> int:
         total += level * count
         reached += count
         frontier = found
+    if frontier:
+        all_bits = (1 << len(sources)) - 1
+        frontier_bits = [0] * g.node_count
+        for u, bits in frontier.items():
+            frontier_bits[u] = bits
+        frontier = found = None  # the dict goes before the dense lists grow
+        pending = [v for v in members if seen[v] != all_bits]
+        while pending:
+            level += 1
+            previous = frontier_bits.__getitem__
+            frontier_bits = [0] * g.node_count
+            count = 0
+            unfinished = []
+            for v in pending:
+                bits = seen[v]
+                new = reduce(or_, map(previous, targets[offsets[v]:offsets[v + 1]]), 0) & ~bits
+                if new:
+                    frontier_bits[v] = new
+                    bits |= new
+                    seen[v] = bits
+                    count += new.bit_count()
+                if bits != all_bits:
+                    unfinished.append(v)
+            if not count:
+                break  # the rest is out of reach
+            total += level * count
+            reached += count
+            pending = unfinished
     if reached != len(sources) * n:
         # A disconnected graph strands every source, so the first source
         # of the chunk is the first to fail in ascending order.
@@ -284,30 +337,40 @@ def avg_shortest_path(
     g: UndirectedGraph,
     sample_sources: Union[int, str] = ALL,
     seed: int = 0,
+    members: Optional[Sequence[int]] = None,
 ) -> float:
-    """Mean shortest-path distance over ordered node pairs of a connected graph.
+    """Mean shortest-path distance over ordered pairs of the ``members``
+    (default: all nodes), which must be connected.
+
+    ``members`` are sorted node ids closed under adjacency, such as
+    :func:`giant_members`; the result equals that of the induced subgraph
+    relabelled to 0..len(members)-1 in their order, since the sampled
+    index i stands for the source ``members[i]``.
 
     Exact with ``sample_sources=ALL``; otherwise averaged over BFS trees
     from that many uniformly drawn sources (seeded, deterministic).
     Sources are traversed together, in ascending chunks of 256.
     """
-    n = g.node_count
+    if members is None:
+        members = range(g.node_count)
+    n = len(members)
     if n < 2:
         raise ParameterError("average shortest path needs at least 2 nodes")
 
     if sample_sources == ALL:
-        sources = list(range(n))
+        sources = list(members)
     else:
         if not isinstance(sample_sources, int) or sample_sources < 1:
             raise ParameterError("sample_sources must be ALL or a positive int")
         if sample_sources >= n:
-            sources = list(range(n))
+            sources = list(members)
         else:
-            sources = sorted(random.Random(seed).sample(range(n), sample_sources))
+            indices = sorted(random.Random(seed).sample(range(n), sample_sources))
+            sources = list(map(members.__getitem__, indices))
 
     total = 0
     for start in range(0, len(sources), _BFS_CHUNK):
-        total += _distance_sum(g, sources[start:start + _BFS_CHUNK])
+        total += _distance_sum(g, sources[start:start + _BFS_CHUNK], members)
     return total / (len(sources) * (n - 1))
 
 
@@ -338,9 +401,10 @@ def analyze_graph(
 
     The CCDF fit and the Hill estimate ``gamma_mle`` are on in-degrees;
     clustering and path length are on the giant component of the
-    undirected projection. Each stage's input is released once the next
-    stage's exists: the directed graph after the projection, the
-    projection after the giant component. The graph comes from a loader
+    undirected projection, read in place through the sorted
+    :func:`giant_members` rather than from a relabelled copy. The directed
+    graph is released once the projection exists, before the giant
+    component is found. The graph comes from a loader
     rather than an argument so that no caller's name keeps it alive.
     ``fit_kmax=None`` selects the automatic cutoff bound.
 
@@ -367,13 +431,13 @@ def analyze_graph(
 
     projection = undirected_projection(graph)
     del graph
-    giant = giant_component(projection)[1]
-    del projection
+    # An array: the members' int objects would outweigh it several times.
+    members = array("i", giant_members(projection))
     report = MetricsReport(
         fit=fit,
-        avg_clustering=avg_clustering(giant),
-        avg_shortest_path=avg_shortest_path(giant, path_samples),
-        giant_component_fraction=giant.node_count / record["nodes"],
+        avg_clustering=avg_clustering(projection, members),
+        avg_shortest_path=avg_shortest_path(projection, path_samples, 0, members),
+        giant_component_fraction=len(members) / record["nodes"],
         max_in_degree=max_in_degree,
     )
     record.update(report_to_dict(report))

@@ -32,6 +32,7 @@ from hiddentree import (
     write_edge_list,
 )
 from hiddentree import cli, metrics
+from hiddentree import graph as graph_module
 from hiddentree.cli import main
 from hiddentree.metrics import format_field
 
@@ -208,9 +209,11 @@ MODEL = ("--nodes", 300, "--branching", "2.0", "--activity", 0.4)
     ("sweep", "--config", "sweep/manifest.json", "--out", "sweep"),
     ("sweep", "--config", "sweep/summary.tsv", "--out", "sweep"),
     ("sweep", "--config", "sweep/ccdf_activity=0.4_rep0.tsv", "--out", "sweep"),
+    ("sweep", "--config", "sweep/summary.tsv", "--out", "sweep/summary.tsv"),
 ], ids=["dump-is-out", "dump-is-manifest", "dump-shares-name", "dump-links-to-out",
         "out-is-config", "report-is-input", "ccdf-is-config", "dot-is-input", "default-dot-is-input",
-        "sweep-config-is-manifest", "sweep-config-is-summary", "sweep-config-is-run-ccdf"])
+        "sweep-config-is-manifest", "sweep-config-is-summary", "sweep-config-is-run-ccdf",
+        "sweep-config-is-out"])
 def test_colliding_output_paths_exit_before_any_write(tmp_path, monkeypatch, argv):
     """An output path that resolves to an input or to another output is
     rejected before a file is written or removed."""
@@ -593,9 +596,9 @@ def test_analyze_writes_the_analyze_graph_record(tmp_path, capsys, network):
 
 @pytest.mark.parametrize("command", ["analyze", "sweep"])
 def test_staged_analysis_releases_each_input(tmp_path, monkeypatch, command):
-    # Each stage must start with its predecessor's input already freed:
-    # the directed graph before the giant component, the projection
-    # before clustering.
+    # The directed graph must be freed before the giant component is
+    # found, and no relabelled copy of the giant is built: clustering and
+    # path length read the projection itself through the member list.
     refs = {}
     checks = []
 
@@ -612,6 +615,15 @@ def test_staged_analysis_releases_each_input(tmp_path, monkeypatch, command):
             return stage(*args, **kwargs)
         return wrapped
 
+    def expect_projection(stage):
+        def wrapped(g, *args, **kwargs):
+            checks.append((stage.__name__, "projection", g is refs["projection"]()))
+            return stage(g, *args, **kwargs)
+        return wrapped
+
+    def relabelled_copy(*args, **kwargs):
+        raise AssertionError("giant_component builds a relabelled copy of the giant")
+
     edge_file = tmp_path / "net.edges"
     assert run_cli("generate", "--nodes", 400, "--branching", "2.0",
                    "--activity", 0.4, "--out", edge_file) == 0
@@ -619,10 +631,13 @@ def test_staged_analysis_releases_each_input(tmp_path, monkeypatch, command):
     monkeypatch.setattr(cli, "generate", keep_ref("graph", cli.generate))
     monkeypatch.setattr(metrics, "undirected_projection",
                         keep_ref("projection", metrics.undirected_projection))
-    monkeypatch.setattr(metrics, "giant_component",
-                        expect_released("graph", metrics.giant_component))
-    monkeypatch.setattr(metrics, "avg_clustering",
-                        expect_released("projection", metrics.avg_clustering))
+    monkeypatch.setattr(metrics, "giant_members",
+                        expect_released("graph", metrics.giant_members))
+    monkeypatch.setattr(metrics, "avg_clustering", expect_projection(metrics.avg_clustering))
+    monkeypatch.setattr(metrics, "avg_shortest_path",
+                        expect_projection(metrics.avg_shortest_path))
+    monkeypatch.setattr(graph_module, "giant_component", relabelled_copy)
+    monkeypatch.setattr(metrics, "giant_component", relabelled_copy, raising=False)
     if command == "analyze":
         assert run_cli("analyze", edge_file, "--path-samples", 20) == 0
         runs = 1
@@ -632,9 +647,11 @@ def test_staged_analysis_releases_each_input(tmp_path, monkeypatch, command):
                        "--keep-edges", "--out", tmp_path / "sweep") == 0
         runs = 2
     assert checks == [
-        ("giant_component", "graph", True),
+        ("giant_members", "graph", True),
         ("avg_clustering", "projection", True),
+        ("avg_shortest_path", "projection", True),
     ] * runs
+    assert refs["projection"]() is None
 
 
 def test_sweep_usage_errors(tmp_path):

@@ -4,6 +4,7 @@ import gc
 import io
 import pickle
 import random
+import tracemalloc
 
 import pytest
 
@@ -88,6 +89,21 @@ def test_projection_never_grows_edge_count():
         directed = random_directed_graph(rng, rng.randint(2, 60))
         projection = undirected_projection(directed)
         assert projection.edge_count <= directed.edge_count
+
+
+def test_projection_holds_one_buffer_of_edge_ends():
+    # In-rows are grouped into the upper half of the output buffer, so the
+    # peak is about 8 bytes per directed edge (two ends) plus offsets.
+    graph = generate(ModelParams(tree=TreeParams(20000, 2.0, seed=7), activity=0.4, seed=7))
+    graph.in_degree  # counted before, as analyze_graph counts it
+    tracemalloc.start()
+    try:
+        projection = undirected_projection(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert projection.edge_count > 0.9 * graph.edge_count
+    assert peak < 10 * graph.edge_count + 32 * graph.node_count
 
 
 def test_projection_is_idempotent():

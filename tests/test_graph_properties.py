@@ -6,21 +6,26 @@ the validating :class:`DirectedGraph` constructor find range errors,
 self-loops and repeats. The fast reader must return the same graph or fail
 on the same line with the same message. Projection is checked against a
 set-based symmetric closure, and the giant component and its members
-against union-find.
+against union-find. Clustering and path length over a member list must
+equal those of the relabelled giant.
 """
 
 import io
 import random
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hiddentree import (
+    ALL,
     DirectedGraph,
     EdgeListFormatError,
     ParameterError,
     UndirectedGraph,
+    avg_clustering,
+    avg_shortest_path,
     giant_component,
     giant_members,
     read_edge_list,
@@ -294,3 +299,20 @@ def test_giant_members_equals_union_find_and_giant_component(graph):
     members = giant_members(graph)
     assert members == union_find_giant(graph)
     assert members == giant_component(graph)[0]
+
+
+@graph_settings
+@given(any_undirected_graphs, st.integers(1, 10), st.integers(0, 99))
+@example(UndirectedGraph(3, [(0, 2)]), 1, 0)  # a two-node giant around a gap
+def test_member_list_metrics_equal_the_relabelled_giant(graph, sample_sources, seed):
+    members = giant_members(graph)
+    giant = giant_component(graph)[1]
+    assert avg_clustering(graph, members) == avg_clustering(giant)
+    for samples in (ALL, sample_sources):
+        if len(members) < 2:
+            with pytest.raises(ParameterError):
+                avg_shortest_path(graph, samples, seed, members)
+        else:
+            assert avg_shortest_path(graph, samples, seed, members) == avg_shortest_path(
+                giant, samples, seed
+            )

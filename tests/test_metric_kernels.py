@@ -5,6 +5,7 @@ triangles, one queue BFS per source for distances. The library's kernels
 must reproduce their floats exactly (``==``), not approximately.
 """
 
+import functools
 import itertools
 import random
 from collections import deque
@@ -14,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hiddentree import ALL, ConnectivityError, UndirectedGraph, avg_clustering, avg_shortest_path
+from hiddentree import metrics as metrics_module
 
 # Must match the source chunk of the multi-source BFS in metrics.py.
 CHUNK = 256
@@ -188,3 +190,43 @@ def test_isolated_node_names_the_first_source_of_many_chunks(graph, seed):
     with pytest.raises(ConnectivityError) as excinfo:
         avg_shortest_path(isolated, ALL, seed)
     assert str(excinfo.value) == f"graph is disconnected: BFS from 0 reached {n} of {n + 1} nodes"
+
+
+def count_pulls(monkeypatch):
+    """The list that each pulling node of the BFS appends to."""
+    pulls = []
+
+    def counted(*args):
+        pulls.append(1)
+        return functools.reduce(*args)
+
+    monkeypatch.setattr(metrics_module, "reduce", counted)
+    return pulls
+
+
+def test_long_path_only_pushes(monkeypatch):
+    # From a few sources on a 300-node path the frontier holds at most 6
+    # nodes, far fewer edge ends than the pull switch needs.
+    path = UndirectedGraph(300, [(i, i + 1) for i in range(299)])
+    pulls = count_pulls(monkeypatch)
+    for sample_sources, seed in ((1, 0), (3, 5)):
+        assert avg_shortest_path(path, sample_sources, seed) == oracle_path_length(
+            path, sample_sources, seed
+        )
+    assert not pulls
+
+
+@pytest.mark.parametrize("graph", [
+    UndirectedGraph(40, [(7, v) for v in range(40) if v != 7]),
+    UndirectedGraph(12, itertools.combinations(range(12), 2)),
+], ids=["hub", "clique"])
+def test_hub_and_clique_pull(monkeypatch, graph):
+    # A hub in the frontier, or every node as a source, is a frontier with
+    # most of the graph's edge ends: the BFS pulls.
+    for sample_sources, seed in ((ALL, 0), (1, 3), (5, 8)):
+        pulls = count_pulls(monkeypatch)
+        assert avg_shortest_path(graph, sample_sources, seed) == oracle_path_length(
+            graph, sample_sources, seed
+        )
+        if sample_sources == ALL:
+            assert pulls
