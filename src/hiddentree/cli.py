@@ -35,7 +35,7 @@ from .errors import (
     ParameterError,
 )
 from .generator import ModelParams, Variant, derive_seed, generate
-from .graph import giant_members, read_edge_list, undirected_projection, write_edge_list
+from .graph import giant_members, project_in_place, read_edge_list, write_edge_list
 from .hidden_tree import TreeParams, build_tree, write_tree_dump
 from .metrics import (
     ALL,
@@ -597,9 +597,7 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
     out_path = Path(args.out) if args.out else in_path.with_suffix(".dot")
     _check_outputs(args, out_path)
     with in_path.open() as fh:
-        graph = read_edge_list(fh)
-    projection = undirected_projection(graph)
-    del graph  # the projection is all the export needs
+        projection = project_in_place(read_edge_list(fh))
     neighbors = projection.neighbors
     if args.component == "giant":
         members = giant_members(projection)
@@ -607,7 +605,7 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
         members = range(len(neighbors))
     with _atomic_open(out_path) as fh:
         fh.write("graph g {\n")
-        fh.write("".join(f"  {node};\n" for node in members))
+        fh.writelines(f"  {node};\n" for node in members)
         # A component is closed under adjacency, so a member's higher
         # neighbours are exactly its edges to later members.
         for u in members:

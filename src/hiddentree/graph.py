@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from itertools import accumulate, chain, islice, repeat
-from operator import eq, ge, sub
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import add, eq, ge, sub
 from typing import Iterable, Iterator, Optional, TextIO
 
 from .errors import EdgeListFormatError, ParameterError
@@ -23,6 +23,7 @@ __all__ = [
     "DirectedGraph",
     "UndirectedGraph",
     "undirected_projection",
+    "project_in_place",
     "giant_members",
     "giant_component",
     "write_edge_list",
@@ -72,7 +73,9 @@ class Rows:
 
 class _Csr:
     """The two buffers and what both graph classes read from them. The
-    buffers of a built graph are never mutated."""
+    buffers of a built graph are never mutated, with one exception:
+    :func:`project_in_place` takes over a directed graph's buffers, builds
+    the projection in them and leaves that graph empty."""
 
     __slots__ = ("offsets", "targets", "__weakref__")
 
@@ -143,7 +146,7 @@ class UndirectedGraph(_Csr):
     __slots__ = ()
 
     def __init__(self, node_count: int, edges: Iterable[tuple[int, int]] = ()):
-        projection = undirected_projection(DirectedGraph(node_count, edges))
+        projection = project_in_place(DirectedGraph(node_count, edges))
         self.offsets = projection.offsets
         self.targets = projection.targets
 
@@ -167,71 +170,102 @@ class UndirectedGraph(_Csr):
 def undirected_projection(g: DirectedGraph) -> UndirectedGraph:
     """Collapse edge directions: {i, j} present iff i->j or j->i is.
 
-    The in-rows are the edge sources grouped by target; sources come in
-    ascending order, so each in-row comes out sorted. A node's row is
-    then its in-row merged with its out-row. A DirectedGraph is already
-    valid, so nothing is checked again.
-
-    One buffer of 2m entries (m directed edges) holds both: the in-rows
-    are grouped into its upper half, so row v's in-row starts at
-    in_offsets[v] >= m, and the merged rows are written from its start.
-    A merged row is no longer than its out-row and in-row together, so
-    rows 0..v end at or below offsets[v+1] + in_offsets[v+1] - m <=
-    in_offsets[v+1], where row v+1's unread in-row starts; row v's own
-    in-row is copied out before row v is written.
+    For a graph the caller keeps: :func:`project_in_place` runs on a copy
+    of its targets, and ``g`` is left as it is. The offsets are shared, as
+    the projection only reads them.
     """
-    offsets, targets = g.offsets, g.targets
-    m = len(targets)
-    out_degree = map(sub, islice(offsets, 1, None), offsets)
-    edge_sources = chain.from_iterable(map(repeat, range(g.node_count), out_degree))
-    # Made by repetition, as a bytes() source would briefly be a second
-    # copy; cut to size at the end, as growing it row by row would copy
-    # it and leave the old copies behind.
-    buffer = array("i", [0]) * (2 * m)
-    in_offsets = _group_by(targets, edge_sources, g.in_degree, buffer, m)
+    copy = DirectedGraph._adopt(g.offsets, g.targets[:])
+    copy._in_degree = g.in_degree
+    return project_in_place(copy)
+
+
+def project_in_place(g: DirectedGraph) -> UndirectedGraph:
+    """:func:`undirected_projection` of a graph the caller hands over: the
+    projection is built in ``g``'s own buffers, and ``g`` is left empty,
+    with no nodes and no edges.
+
+    A node's row is its out-row merged with its in-row, the edge sources
+    grouped by target. A DirectedGraph is already valid, so nothing is
+    checked again. The target buffer grows once to 2m entries (m directed
+    edges), and row v's out-row and in-row then sit side by side from
+    offsets[v] + in_offsets[v]:
+
+    1. the out-rows move right, last row first: a row's new start is at or
+       after its old one, and the rows above it have moved already;
+    2. the in-rows are grouped into the slots after each out-row; sources
+       come in ascending order, so each in-row comes out sorted, and only
+       out-row slots are read while only in-row slots are written;
+    3. each row is merged and moved left; a merged row is no longer than
+       its two parts, so it never reaches the next row's unread slots.
+    """
+    offsets, targets, in_degree = g.offsets, g.targets, g.in_degree
+    g.offsets, g.targets, g._in_degree = array("q", [0]), array("i"), []
+    n = len(offsets) - 1
+    # One realloc: growing it in steps would copy it and leave the old
+    # copies behind.
+    targets *= 2
+    starts = array("q", map(add, offsets, accumulate(in_degree, initial=0)))
+    fill = array("q", map(add, islice(offsets, 1, None), accumulate(in_degree, initial=0)))
+    del in_degree
     nbr_offsets = array("q", [0])
-    end = 0
-    out_bounds = zip(offsets, islice(offsets, 1, None))
-    in_bounds = zip(in_offsets, islice(in_offsets, 1, None))
-    for (a, b), (c, d) in zip(out_bounds, in_bounds):
-        if c == d:
-            row = targets[a:b]
-        elif a == b:
-            row = buffer[c:d]
-        else:
-            row = array("i", sorted({*targets[a:b], *buffer[c:d]}))
-        buffer[end:end + len(row)] = row
-        end += len(row)
-        nbr_offsets.append(end)
-    del buffer[end:]
-    return UndirectedGraph._adopt(nbr_offsets, buffer)
+    with memoryview(targets) as buf:
+        for s, b, a in zip(
+            islice(reversed(starts), 1, None), reversed(offsets), islice(reversed(offsets), 1, None)
+        ):
+            if s == a:
+                break  # no in-edge lies below this row, so none below an earlier one
+            buf[s:s + b - a] = buf[a:b]
+        out_rows = map(slice, starts, map(add, starts, _row_lengths(offsets)))
+        sources = chain.from_iterable(map(repeat, range(n), _row_lengths(offsets)))
+        _group_by(chain.from_iterable(map(buf.__getitem__, out_rows)), sources, fill, targets)
+        del starts, out_rows, sources
+        # fill[v] is now the end of row v's slots, where row v+1's begin.
+        s = end = 0
+        for out_degree, e in zip(_row_lengths(offsets), fill):
+            if out_degree == 0 or s + out_degree == e:
+                if s != end:
+                    buf[end:end + e - s] = buf[s:e]
+                end += e - s
+            else:
+                row = array("i", sorted(set(buf[s:e])))
+                buf[end:end + len(row)] = row
+                end += len(row)
+            nbr_offsets.append(end)
+            s = e
+    del targets[end:]
+    return UndirectedGraph._adopt(nbr_offsets, targets)
 
 
-def giant_members(g: UndirectedGraph) -> list[int]:
-    """Sorted node ids of the largest connected component by node count;
-    ties go to the one containing the smallest node id."""
+def giant_members(g: UndirectedGraph) -> array:
+    """Sorted node ids of the largest connected component by node count,
+    as an ``array('i')``; ties go to the one containing the smallest node
+    id."""
     n = g.node_count
     offsets, targets = g.offsets, memoryview(g.targets)
     seen = bytearray(n)
-    best_members: list[int] = []
+    best = array("i")
     for start in range(n):
         if seen[start]:
             continue
         seen[start] = 1
-        members = [start]
-        for u in members:  # breadth-first: the list is its own queue
+        members = array("i", (start,))
+        for u in members:  # breadth-first: the array is its own queue
             for v in targets[offsets[u]:offsets[u + 1]]:
                 if not seen[v]:
                     seen[v] = 1
                     members.append(v)
         # Scan order makes the first maximal component the smallest-id one.
-        if len(members) > len(best_members):
-            best_members = members
-    best_members.sort()
-    return best_members
+        if len(members) > len(best):
+            best = members
+    # Marked and read back in id order: sorted, with no int object held
+    # per member.
+    in_best = bytearray(n)
+    for v in best:
+        in_best[v] = 1
+    return array("i", compress(range(n), in_best))
 
 
-def giant_component(g: UndirectedGraph) -> tuple[list[int], UndirectedGraph]:
+def giant_component(g: UndirectedGraph) -> tuple[array, UndirectedGraph]:
     """The :func:`giant_members` and the induced subgraph with members
     relabeled to 0..len(members)-1 in that sorted order."""
     offsets, targets = g.offsets, memoryview(g.targets)
@@ -281,14 +315,19 @@ def read_edge_list(stream: TextIO) -> DirectedGraph:
     if node_count >= NODE_LIMIT:
         raise EdgeListFormatError(1, node_count_error(node_count))
 
-    # Lines are parsed a block at a time into two columns. A block whose
-    # ids are all in range and that has no self-loop is appended to them.
-    # The first block that is not gives the error, found by a rescan of its
-    # lines; later blocks are only parsed, as a malformed line wins.
-    srcs = array("i")
+    # Lines are parsed a block at a time. A block whose ids are all in
+    # range and that has no self-loop is kept. The first block that is not
+    # gives the error, found by a rescan of its lines; later blocks are
+    # only parsed, as a malformed line wins. While the edges run in strictly
+    # ascending order, the order write_edge_list writes, the target column
+    # is already CSR and no source column is kept: offsets[u], the first
+    # edge whose source is not below u, is filled up to the last source
+    # read. Once the order breaks, the source column is rebuilt from those
+    # offsets and kept from then on.
+    offsets = array("q")
+    srcs = None  # the source column, once the order has broken
     dsts = array("i")
     error = None  # the first out-of-range edge or self-loop
-    in_order = True  # the edges so far run in strictly ascending order
     blank_lines: list[int] = []
     next_line = 2
     while block := stream.readlines(_BLOCK_CHARS):
@@ -312,13 +351,20 @@ def read_edge_list(stream: TextIO) -> DirectedGraph:
         if min(ids) < 0 or max(ids) >= node_count or any(map(eq, block_srcs, block_dsts)):
             error = _line_error(block, first_line, node_count)
             continue
-        if in_order:
+        if srcs is None:
             edges = zip(block_srcs, block_dsts)
             later = zip(islice(block_srcs, 1, None), islice(block_dsts, 1, None))
-            in_order = not (
-                srcs and (srcs[-1], dsts[-1]) >= (block_srcs[0], block_dsts[0])
-            ) and not any(map(ge, edges, later))
-        srcs.fromlist(block_srcs)
+            if not (
+                dsts and (len(offsets) - 1, dsts[-1]) >= (block_srcs[0], block_dsts[0])
+            ) and not any(map(ge, edges, later)):
+                nodes = range(len(offsets), block_srcs[-1] + 1)
+                offsets.extend(map(len(dsts).__add__, map(bisect_left, repeat(block_srcs), nodes)))
+            else:
+                offsets.append(len(dsts))
+                rows = map(repeat, range(len(offsets)), _row_lengths(offsets))
+                srcs = array("i", chain.from_iterable(rows))
+        if srcs is not None:
+            srcs.fromlist(block_srcs)
         dsts.fromlist(block_dsts)
 
     edges_read = next_line - 2 - len(blank_lines)
@@ -329,14 +375,13 @@ def read_edge_list(stream: TextIO) -> DirectedGraph:
     if error is not None:
         raise error
 
-    if in_order:
-        # The order write_edge_list writes: the columns are already CSR,
-        # and row u starts at the first edge whose source is not below u.
-        offsets = array("q", map(bisect_left, repeat(srcs), range(node_count + 1)))
+    if srcs is None:
+        offsets.extend(repeat(len(dsts), node_count + 1 - len(offsets)))
         targets = dsts
     else:
         targets = array("i", [0]) * len(dsts)
-        offsets = _group_by(srcs, dsts, _count(srcs, node_count), targets, 0)
+        offsets = array("q", accumulate(_count(srcs, node_count), initial=0))
+        _group_by(srcs, dsts, offsets[:], targets)
         if _sort_rows(offsets, targets):
             _raise_first_repeat(srcs, dsts, blank_lines)
     return DirectedGraph._adopt(offsets, targets)
@@ -364,6 +409,11 @@ def _line_error(block: list[str], first_line: int, node_count: Optional[int]) ->
     raise ValueError("block holds no bad line")
 
 
+def _row_lengths(offsets: array) -> Iterator[int]:
+    """The length of each row of CSR ``offsets``."""
+    return map(sub, islice(offsets, 1, None), offsets)
+
+
 def _count(keys: Iterable[int], n: int) -> list[int]:
     """How many of ``keys`` equal each of 0..n-1."""
     counts = [0] * n
@@ -372,20 +422,15 @@ def _count(keys: Iterable[int], n: int) -> list[int]:
     return counts
 
 
-def _group_by(
-    keys: array, values: Iterable[int], counts: list[int], out: array, start: int
-) -> array:
-    """A counting sort: write ``values`` into ``out`` from position
-    ``start`` on, grouped into rows by their ``keys`` and in the order
-    given within each row, and return the rows' N+1 offsets into ``out``.
-    ``counts[k]`` is how many keys equal k."""
-    offsets = array("q", accumulate(counts, initial=start))
-    fill = offsets[:]
+def _group_by(keys: Iterable[int], values: Iterable[int], fill: array, out: array) -> None:
+    """A counting sort: write each of ``values`` into ``out`` at the
+    position ``fill`` holds for its key, and advance that position, so the
+    values of a key are laid out from where ``fill[key]`` started, in the
+    order given. ``fill[key]`` ends one past the key's last value."""
     for key, value in zip(keys, values):
         i = fill[key]
         out[i] = value
         fill[key] = i + 1
-    return offsets
 
 
 def _sort_rows(offsets: array, targets: array) -> bool:

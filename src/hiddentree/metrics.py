@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import random
-from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
@@ -24,7 +23,7 @@ from .errors import (
     InsufficientDataError,
     ParameterError,
 )
-from .graph import DirectedGraph, UndirectedGraph, giant_members, undirected_projection
+from .graph import DirectedGraph, UndirectedGraph, giant_members, project_in_place
 
 __all__ = [
     "Ccdf",
@@ -403,9 +402,10 @@ def analyze_graph(
     clustering and path length are on the giant component of the
     undirected projection, read in place through the sorted
     :func:`giant_members` rather than from a relabelled copy. The directed
-    graph is released once the projection exists, before the giant
-    component is found. The graph comes from a loader
-    rather than an argument so that no caller's name keeps it alive.
+    graph is handed to :func:`project_in_place`, which builds the
+    projection in its buffers, before the giant component is found. The
+    graph comes from a loader rather than an argument, as no one else may
+    hold the graph it hands over.
     ``fit_kmax=None`` selects the automatic cutoff bound.
 
     The record holds ``nodes``, ``edges``, the :func:`report_to_dict`
@@ -429,10 +429,9 @@ def analyze_graph(
         gamma_mle = None
     max_in_degree = max(graph.in_degree)
 
-    projection = undirected_projection(graph)
+    projection = project_in_place(graph)
     del graph
-    # An array: the members' int objects would outweigh it several times.
-    members = array("i", giant_members(projection))
+    members = giant_members(projection)
     report = MetricsReport(
         fit=fit,
         avg_clustering=avg_clustering(projection, members),
@@ -451,8 +450,12 @@ def compute_report(
     fit_kmax: Optional[int] = None,
     path_samples: Union[int, str] = 200,
 ) -> MetricsReport:
-    """The report of :func:`analyze_graph` on a graph the caller keeps."""
-    return analyze_graph(lambda: g, fit_kmin, fit_kmax, path_samples).report
+    """The report of :func:`analyze_graph` on a graph the caller keeps: the
+    analysis takes a copy of it."""
+    def copy() -> DirectedGraph:
+        return DirectedGraph._adopt(g.offsets[:], g.targets[:])
+
+    return analyze_graph(copy, fit_kmin, fit_kmax, path_samples).report
 
 
 def write_ccdf(ccdf: Ccdf, stream) -> None:

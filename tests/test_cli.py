@@ -596,11 +596,21 @@ def test_analyze_writes_the_analyze_graph_record(tmp_path, capsys, network):
 
 @pytest.mark.parametrize("command", ["analyze", "sweep"])
 def test_staged_analysis_releases_each_input(tmp_path, monkeypatch, command):
-    # The directed graph must be freed before the giant component is
-    # found, and no relabelled copy of the giant is built: clustering and
-    # path length read the projection itself through the member list.
+    # The directed graph is handed over to the projection, which leaves
+    # it empty, and must be freed before the giant component is found. No
+    # relabelled copy of the giant is built: clustering and path length
+    # read the projection itself through the member list.
     refs = {}
     checks = []
+    handed_over = []
+
+    def hand_over(stage):
+        def wrapped(g):
+            result = stage(g)
+            handed_over.append((g.node_count, g.edge_count))
+            refs["projection"] = weakref.ref(result)
+            return result
+        return wrapped
 
     def keep_ref(name, stage):
         def wrapped(*args, **kwargs):
@@ -629,8 +639,7 @@ def test_staged_analysis_releases_each_input(tmp_path, monkeypatch, command):
                    "--activity", 0.4, "--out", edge_file) == 0
     monkeypatch.setattr(cli, "read_edge_list", keep_ref("graph", cli.read_edge_list))
     monkeypatch.setattr(cli, "generate", keep_ref("graph", cli.generate))
-    monkeypatch.setattr(metrics, "undirected_projection",
-                        keep_ref("projection", metrics.undirected_projection))
+    monkeypatch.setattr(metrics, "project_in_place", hand_over(metrics.project_in_place))
     monkeypatch.setattr(metrics, "giant_members",
                         expect_released("graph", metrics.giant_members))
     monkeypatch.setattr(metrics, "avg_clustering", expect_projection(metrics.avg_clustering))
@@ -651,6 +660,7 @@ def test_staged_analysis_releases_each_input(tmp_path, monkeypatch, command):
         ("avg_clustering", "projection", True),
         ("avg_shortest_path", "projection", True),
     ] * runs
+    assert handed_over == [(0, 0)] * runs
     assert refs["projection"]() is None
 
 

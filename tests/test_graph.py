@@ -16,9 +16,11 @@ from hiddentree import (
     TreeParams,
     UndirectedGraph,
     build_tree,
+    compute_report,
     generate,
     giant_component,
     giant_members,
+    project_in_place,
     read_edge_list,
     undirected_projection,
     write_edge_list,
@@ -92,8 +94,9 @@ def test_projection_never_grows_edge_count():
 
 
 def test_projection_holds_one_buffer_of_edge_ends():
-    # In-rows are grouped into the upper half of the output buffer, so the
-    # peak is about 8 bytes per directed edge (two ends) plus offsets.
+    # The projection of a kept graph grows a copy of its targets to 2m
+    # entries, so the peak is about 8 bytes per directed edge (two ends)
+    # plus offsets.
     graph = generate(ModelParams(tree=TreeParams(20000, 2.0, seed=7), activity=0.4, seed=7))
     graph.in_degree  # counted before, as analyze_graph counts it
     tracemalloc.start()
@@ -104,6 +107,39 @@ def test_projection_holds_one_buffer_of_edge_ends():
         tracemalloc.stop()
     assert projection.edge_count > 0.9 * graph.edge_count
     assert peak < 10 * graph.edge_count + 32 * graph.node_count
+
+
+def test_hand_over_peak_beyond_the_graph_is_its_growth():
+    # The hand-over grows the graph's own target buffer from m to 2m
+    # entries, so beyond the buffers it is handed its peak is the new
+    # entries plus a few per-node arrays: under 4 bytes per directed edge
+    # plus 48 per node, where a separate 2m-entry buffer would take 8.
+    graph = generate(ModelParams(tree=TreeParams(20000, 2.0, seed=7), activity=0.4, seed=7))
+    graph.in_degree  # counted before, as analyze_graph counts it
+    m, n = graph.edge_count, graph.node_count
+    own_buffers = 4 * m + 8 * (n + 1)
+    tracemalloc.start()
+    try:
+        # The grown buffer is traced whole, as its first allocation is not.
+        projection = project_in_place(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (graph.node_count, graph.edge_count, list(graph.out_edges)) == (0, 0, [])
+    assert projection.edge_count > 0.9 * m
+    assert peak - own_buffers < 4 * m + 48 * n
+
+
+def test_kept_graph_is_left_as_it_is():
+    graph = generate(ModelParams(tree=TreeParams(300, 2.0, seed=5), activity=0.4, seed=5))
+    offsets, targets = graph.offsets, graph.targets
+    before = offsets[:], targets[:]
+    projection = undirected_projection(graph)
+    compute_report(graph, path_samples=20)
+    rebuilt = UndirectedGraph(graph.node_count, graph.edges())
+    assert graph.offsets is offsets and graph.targets is targets
+    assert (offsets, targets) == before
+    assert [list(r) for r in rebuilt.neighbors] == [list(r) for r in projection.neighbors]
 
 
 def test_projection_is_idempotent():
@@ -119,21 +155,21 @@ def test_projection_is_idempotent():
 def test_giant_component_picks_largest():
     graph = UndirectedGraph(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
     members, induced = giant_component(graph)
-    assert members == [0, 1, 2]
+    assert list(members) == [0, 1, 2]
     assert induced.edge_count == 3
 
 
 def test_giant_component_full_graph():
     graph = UndirectedGraph(4, [(0, 1), (1, 2), (2, 3)])
     members, induced = giant_component(graph)
-    assert members == [0, 1, 2, 3]
+    assert list(members) == [0, 1, 2, 3]
     assert [list(r) for r in induced.neighbors] == [list(r) for r in graph.neighbors]
 
 
 def test_giant_component_tie_breaks_on_smallest_id():
     graph = UndirectedGraph(4, [(0, 3), (1, 2)])
     members, _ = giant_component(graph)
-    assert members == [0, 3]
+    assert list(members) == [0, 3]
 
 
 def test_giant_component_matches_union_find_oracle():
@@ -147,7 +183,7 @@ def test_giant_component_matches_union_find_oracle():
         classes.setdefault(uf.find(node), []).append(node)
     largest = max(classes.values(), key=len)
     members, _ = giant_component(projection)
-    assert members == sorted(largest)
+    assert list(members) == sorted(largest)
     non_isolated = sum(1 for nbrs in projection.neighbors if nbrs)
     assert len(members) > non_isolated / 2
 

@@ -28,6 +28,7 @@ from hiddentree import (
     avg_shortest_path,
     giant_component,
     giant_members,
+    project_in_place,
     read_edge_list,
     undirected_projection,
 )
@@ -131,8 +132,8 @@ def edge_list_texts(draw):
         return draw(st.integers(0, len(lines)))
 
     for mutation in draw(st.lists(st.sampled_from([
-        "blank", "pad", "repeat", "self_loop", "negative", "out_of_range",
-        "junk", "header_count", "header_nodes",
+        "blank", "pad", "repeat", "late_repeat", "self_loop", "negative",
+        "out_of_range", "junk", "header_count", "header_nodes",
     ]), max_size=3)):
         if mutation == "blank":
             lines.insert(position(), draw(PADDING))
@@ -143,6 +144,12 @@ def edge_list_texts(draw):
             lines[i] = f"{pad[0]}{src}{pad[1]},{pad[2]}{dst}{pad[3]}"
         elif mutation == "repeat" and lines:
             lines.insert(position(), draw(st.sampled_from(lines)))
+            header_edges += 1
+        elif mutation == "late_repeat" and lines:
+            # An earlier line moved to the end breaks a sorted list's order
+            # late, and a repeat after it is found in the rebuilt sources.
+            lines.append(lines.pop(draw(st.integers(0, len(lines) - 1))))
+            lines.append(draw(st.sampled_from(lines)))
             header_edges += 1
         elif mutation == "self_loop":
             k = draw(st.integers(0, n - 1))
@@ -187,6 +194,10 @@ def edge_list_texts(draw):
 @example("# nodes=0 edges=0\n", 1 << 16)
 @example("# nodes=3 edges=3\n0,1\n\n1,2\n0,1\n", 1)
 @example("# nodes=3 edges=3\n0,1\n\n1,2\n0,1\n", 1 << 16)
+# The order breaks after the first block, then a line repeats an earlier one.
+@example("# nodes=6 edges=7\n0,1\n0,2\n1,3\n\n3,4\n2,5\n1,0\n0,2\n", 7)
+@example("# nodes=6 edges=7\n0,1\n0,2\n1,3\n\n3,4\n2,5\n1,0\n0,2\n", 16)
+@example("# nodes=6 edges=6\n0,1\n0,2\n1,3\n\n3,4\n2,5\n1,0\n", 7)
 def test_reader_matches_line_by_line_oracle(text, block_chars):
     expected = outcome(oracle_read_edge_list, text)
     # Small blocks put block boundaries between any two lines.
@@ -221,6 +232,23 @@ def test_projection_equals_symmetric_closure(graph):
     giant_component(projection)
     giant_members(projection)
     assert [list(r) for r in graph.out_edges] == out_edges
+
+
+@graph_settings
+@given(directed_graphs(), st.booleans())
+@example(DirectedGraph(1), False)  # no edge
+@example(DirectedGraph(4), True)  # isolated nodes only
+@example(DirectedGraph(3, [(0, 1), (1, 0), (1, 2), (2, 1)]), True)  # reciprocal pairs
+@example(DirectedGraph(5, [(0, 3), (0, 4), (1, 3), (4, 3)]), False)  # only out, only in, none
+def test_handed_over_projection_equals_the_kept_graphs(graph, counted):
+    handed = DirectedGraph(graph.node_count, graph.edges())
+    if counted:
+        handed.in_degree
+    projection = project_in_place(handed)
+    assert [list(r) for r in projection.neighbors] == [
+        list(r) for r in undirected_projection(graph).neighbors
+    ]
+    assert (handed.node_count, handed.edge_count, handed.in_degree) == (0, 0, [])
 
 
 class UnionFind:
@@ -281,7 +309,7 @@ any_undirected_graphs = st.one_of(component_graphs(), directed_graphs().map(undi
 @given(any_undirected_graphs)
 def test_giant_component_equals_union_find(graph):
     members, induced = giant_component(graph)
-    assert members == union_find_giant(graph)
+    assert list(members) == union_find_giant(graph)
     new_id = {node: i for i, node in enumerate(members)}
     assert [list(r) for r in induced.neighbors] == [
         sorted(new_id[v] for v in graph.neighbors[node]) for node in members
@@ -297,7 +325,7 @@ def test_giant_component_equals_union_find(graph):
 @example(UndirectedGraph(4, [(3, 0), (0, 1), (1, 3), (2, 1)]))  # spans every node
 def test_giant_members_equals_union_find_and_giant_component(graph):
     members = giant_members(graph)
-    assert members == union_find_giant(graph)
+    assert list(members) == union_find_giant(graph)
     assert members == giant_component(graph)[0]
 
 
