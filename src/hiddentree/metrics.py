@@ -104,13 +104,9 @@ def degree_ccdf(degrees: list[int]) -> Ccdf:
     total = sum(counts.values())
     points = []
     at_least = total
-    prev = 0
     for k in sorted(counts):
-        # at_least currently counts nodes with degree >= previous k; peel
-        # off the bucket below k before emitting.
-        at_least -= prev
         points.append((k, at_least / total))
-        prev = counts[k]
+        at_least -= counts[k]
     return Ccdf(points=tuple(points), positive_nodes=total)
 
 
@@ -266,9 +262,10 @@ def _distance_sum(g: UndirectedGraph, sources: list[int], members: Sequence[int]
     (Beamer, Asanovic & Patterson 2012): while the frontier is small, each
     frontier node pushes its bits to its neighbours; once the frontier's
     edge ends reach 1/8 of the graph's, each member not yet seen by every
-    source pulls the OR of its neighbours' frontier bits, and leaves the
-    pull list once it has them all. Raises :class:`ConnectivityError` if
-    some source does not reach every member.
+    source pulls the OR of its neighbours' ``seen`` bits, less its own,
+    and leaves the pull list once it has them all. A pull level applies
+    its gains only after all of its reads. Raises
+    :class:`ConnectivityError` if some source does not reach every member.
     """
     n = len(members)
     offsets, targets = g.offsets, memoryview(g.targets)
@@ -296,26 +293,23 @@ def _distance_sum(g: UndirectedGraph, sources: list[int], members: Sequence[int]
         frontier = found
     if frontier:
         all_bits = (1 << len(sources)) - 1
-        frontier_bits = [0] * g.node_count
-        for u, bits in frontier.items():
-            frontier_bits[u] = bits
-        frontier = found = None  # the dict goes before the dense lists grow
+        frontier = found = None  # the last push level's dict goes before the pull
         pending = [v for v in members if seen[v] != all_bits]
         while pending:
             level += 1
-            previous = frontier_bits.__getitem__
-            frontier_bits = [0] * g.node_count
+            # All of a level's reads come before any of its gains is
+            # applied, so a bit v gains is a source exactly `level` away.
+            gains = [
+                reduce(or_, map(seen.__getitem__, targets[offsets[v]:offsets[v + 1]]), 0) & ~seen[v]
+                for v in pending
+            ]
             count = 0
             unfinished = []
-            for v in pending:
-                bits = seen[v]
-                new = reduce(or_, map(previous, targets[offsets[v]:offsets[v + 1]]), 0) & ~bits
+            for v, new in zip(pending, gains):
                 if new:
-                    frontier_bits[v] = new
-                    bits |= new
-                    seen[v] = bits
+                    seen[v] |= new
                     count += new.bit_count()
-                if bits != all_bits:
+                if seen[v] != all_bits:
                     unfinished.append(v)
             if not count:
                 break  # the rest is out of reach

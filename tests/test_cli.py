@@ -490,7 +490,8 @@ def test_sweep_pool_is_bounded_by_the_runs(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("values, repeated", [
-    ("0.4,0.4,0.4,0.4", "0.4"), ("0.4,0.40", "0.4"), ("0.2,0.4,2e-1", "0.2")])
+    ("0.4,0.4,0.4,0.4", "0.4"), ("0.4,0.40", "0.4"), ("0.2,0.4,2e-1", "0.2"),
+    ("0.1234567,0.1234568", "0.123457")])
 @pytest.mark.parametrize("jobs", [1, 4])
 def test_sweep_rejects_repeated_values(tmp_path, capsys, values, repeated, jobs):
     out_dir = tmp_path / "sweep"
