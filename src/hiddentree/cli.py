@@ -16,7 +16,6 @@ Exit codes: 0 success, 1 usage or parameter error, 2 I/O error,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -327,9 +326,13 @@ def _params_echo(params: ModelParams) -> dict:
 
 
 def _sha256(path: Path) -> str:
+    # Imported here: hashlib loads OpenSSL, and only generate and sweep
+    # take digests.
+    import hashlib
+
     digest = hashlib.sha256()
     with path.open("rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
             digest.update(chunk)
     return "sha256:" + digest.hexdigest()
 

@@ -36,7 +36,7 @@ NODE_LIMIT = 1 << 31
 # Characters of edge-list text parsed per block by read_edge_list. A
 # block's line strings and freshly parsed ints are the reader's transient
 # peak, so blocks are kept small; the per-block work is a few slices.
-_BLOCK_CHARS = 1 << 16
+_BLOCK_CHARS = 1 << 14
 
 
 def node_count_error(node_count: int) -> str:
@@ -214,7 +214,8 @@ def project_in_place(g: DirectedGraph) -> UndirectedGraph:
         ):
             if s == a:
                 break  # no in-edge lies below this row, so none below an earlier one
-            buf[s:s + b - a] = buf[a:b]
+            if a != b:  # most out-rows of a generated graph are empty
+                buf[s:s + b - a] = buf[a:b]
         out_rows = map(slice, starts, map(add, starts, _row_lengths(offsets)))
         sources = chain.from_iterable(map(repeat, range(n), _row_lengths(offsets)))
         _group_by(chain.from_iterable(map(buf.__getitem__, out_rows)), sources, fill, targets)

@@ -780,6 +780,33 @@ def test_import_loads_no_worker_pool_machinery():
     assert {"concurrent", "multiprocessing"} & modules_loaded_by_import() == set()
 
 
+def test_commands_without_digests_never_load_openssl(tmp_path):
+    # hashlib loads OpenSSL's _hashlib, megabytes of resident memory that
+    # only the commands writing a manifest (generate, sweep) need.
+    edge_file = tmp_path / "net.edges"
+    assert run_cli("generate", "--nodes", 300, "--branching", "2.0",
+                   "--activity", 0.4, "--seed", 5, "--out", edge_file) == 0
+    src = Path(hiddentree.__file__).resolve().parents[1]
+    code = (
+        "import runpy, sys\n"
+        "if '_hashlib' in sys.modules:\n"
+        "    sys.exit(99)\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "try:\n"
+        "    runpy.run_module('hiddentree', run_name='__main__', alter_sys=True)\n"
+        "finally:\n"
+        "    print('_hashlib' in sys.modules)\n"
+    )
+    for argv in (["--version"], ["analyze", edge_file, "--path-samples", 20],
+                 ["export-dot", edge_file, "--out", tmp_path / "net.dot"]):
+        result = subprocess.run([sys.executable, "-c", code, *map(str, argv)],
+                                capture_output=True, text=True)
+        if result.returncode == 99:
+            pytest.skip("interpreter start-up loads _hashlib")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "False", argv
+
+
 def test_module_entry_point_runs():
     result = subprocess.run(
         [sys.executable, "-m", "hiddentree", "--version"],

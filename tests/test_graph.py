@@ -4,6 +4,7 @@ import gc
 import io
 import pickle
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -210,6 +211,25 @@ def test_edge_list_round_trip():
     assert text.startswith(f"# nodes=50 edges={graph.edge_count}\n")
     restored = read_edge_list(io.StringIO(text))
     assert [list(r) for r in restored.out_edges] == [list(r) for r in graph.out_edges]
+
+
+@pytest.mark.parametrize("nodes", [2000, 20000])
+def test_reader_transient_memory_does_not_grow_with_the_file(nodes):
+    # Beyond the buffers it returns, the reader holds one block's line
+    # strings and parsed ints at a time, whatever the length of the file.
+    graph = generate(ModelParams(tree=TreeParams(nodes, 2.0, seed=7), activity=0.4, seed=7))
+    buffer = io.StringIO()
+    write_edge_list(graph, buffer)
+    stream = io.StringIO(buffer.getvalue())
+    del graph, buffer
+    tracemalloc.start()
+    try:
+        restored = read_edge_list(stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sys.getsizeof(restored.offsets) + sys.getsizeof(restored.targets)
+    assert peak - kept < 1_000_000
 
 
 def test_edge_list_is_sorted():
