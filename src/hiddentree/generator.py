@@ -130,8 +130,12 @@ def _run(
     activity = params.activity
 
     # Random(x) is seed(x) on a new object, so reseeding one object gives
-    # every node the same stream and saves constructing n of them.
+    # every node the same stream and saves constructing n of them. For an
+    # int, Random.seed only hands x on to the C method, so that is called.
     rng = random.Random()
+    reseed = super(random.Random, rng).seed
+    draw, randrange = rng.random, rng.randrange
+    seed, tree_edges = params.seed, params.include_tree_edges
     offsets = array("q", [0])
     targets = array("i")
     counts: list[int] = []
@@ -139,29 +143,32 @@ def _run(
     closure_added = 0
 
     for i in range(n):
-        edges_i: set[int] = set()
-        if params.include_tree_edges:
-            edges_i.update(children(i))
-            if i:
-                edges_i.add(parent[i])
         selections = 0
         kept: list[int] = []
         if not (leaf_only and children(i)):
-            rng.seed(derive_seed(params.seed, i))
+            reseed(derive_seed(seed, i))
             act = activity
             while act > 0:
-                if rng.random() < act:
+                if draw() < act:
                     selections += 1
-                    dest = rng.randrange(n)
+                    dest = randrange(n)
                     if dest != i:
                         kept.append(dest)
-                        edges_i.add(dest)
-                        before = len(edges_i)
-                        edges_i.update(*climb(tree, i, dest))
-                        edges_i.discard(i)
-                        closure_added += len(edges_i) - before
                 act -= 1
-        targets.fromlist(sorted(edges_i))
+        # Most nodes keep no destination, and then need no set.
+        if kept or tree_edges:
+            edges_i: set[int] = set()
+            if tree_edges:
+                edges_i.update(children(i))
+                if i:
+                    edges_i.add(parent[i])
+            for dest in kept:
+                edges_i.add(dest)
+                before = len(edges_i)
+                edges_i.update(*climb(tree, i, dest))
+                edges_i.discard(i)
+                closure_added += len(edges_i) - before
+            targets.fromlist(sorted(edges_i))
         offsets.append(len(targets))
         if with_trace:
             counts.append(selections)

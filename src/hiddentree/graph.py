@@ -14,7 +14,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from itertools import accumulate, chain, compress, islice, repeat
-from operator import add, eq, ge, sub
+from operator import add, and_, eq, ge, le, lt, ne, sub
 from typing import Iterable, Iterator, Optional, TextIO
 
 from .errors import EdgeListFormatError, ParameterError
@@ -228,7 +228,10 @@ def project_in_place(g: DirectedGraph) -> UndirectedGraph:
                     buf[end:end + e - s] = buf[s:e]
                 end += e - s
             else:
-                row = array("i", sorted(set(buf[s:e])))
+                # Two sorted runs, which sorted() merges; then repeats,
+                # now adjacent, are dropped.
+                row = sorted(buf[s:e])
+                row = array("i", compress(row, map(ne, row, chain((None,), row))))
                 buf[end:end + len(row)] = row
                 end += len(row)
             nbr_offsets.append(end)
@@ -316,15 +319,16 @@ def read_edge_list(stream: TextIO) -> DirectedGraph:
     if node_count >= NODE_LIMIT:
         raise EdgeListFormatError(1, node_count_error(node_count))
 
-    # Lines are parsed a block at a time. A block whose ids are all in
-    # range and that has no self-loop is kept. The first block that is not
-    # gives the error, found by a rescan of its lines; later blocks are
-    # only parsed, as a malformed line wins. While the edges run in strictly
-    # ascending order, the order write_edge_list writes, the target column
-    # is already CSR and no source column is kept: offsets[u], the first
-    # edge whose source is not below u, is filled up to the last source
-    # read. Once the order breaks, the source column is rebuilt from those
-    # offsets and kept from then on.
+    # Lines are parsed a block at a time, the source column as runs of
+    # equal text (see _parse_block). A block whose ids are all in range and
+    # that has no self-loop is kept. The first block that is not gives the
+    # error, found by a rescan of its lines; later blocks are only parsed,
+    # as a malformed line wins. While the edges run in strictly ascending
+    # order, the order write_edge_list writes, the target column is already
+    # CSR and no source column is kept: offsets[u], the first edge whose
+    # source is not below u, is filled from the run starts up to the last
+    # source read. Once the order breaks, the source column is rebuilt
+    # from those offsets and kept from then on.
     offsets = array("q")
     srcs = None  # the source column, once the order has broken
     dsts = array("i")
@@ -333,38 +337,55 @@ def read_edge_list(stream: TextIO) -> DirectedGraph:
     next_line = 2
     while block := stream.readlines(_BLOCK_CHARS):
         first_line, next_line = next_line, next_line + len(block)
-        lines = list(map(str.strip, block))
-        if "" in lines:
-            blank_lines += [no for no, line in enumerate(lines, first_line) if not line]
-            lines = list(filter(None, lines))
-        fields = ",".join(lines).split(",") if lines else []
         try:
-            # One comma per line: at least one in each, as many as lines in all.
-            if len(fields) != 2 * len(lines) or not all(map(str.__contains__, lines, repeat(","))):
-                raise ValueError("not one comma per line")
-            block_srcs = list(map(int, fields[::2]))
-            block_dsts = list(map(int, fields[1::2]))
+            values, starts, block_dsts = _parse_block(block)
         except ValueError:
-            raise _line_error(block, first_line, None) from None
-        if error is not None or not block_srcs:
+            # A blank line, or padding int() does not strip: parse the
+            # block again with its lines stripped.
+            lines = list(map(str.strip, block))
+            if "" in lines:
+                blank_lines += [no for no, line in enumerate(lines, first_line) if not line]
+                lines = list(filter(None, lines))
+            try:
+                values, starts, block_dsts = _parse_block(list(map("{}\n".format, lines)))
+            except ValueError:
+                raise _line_error(block, first_line, None) from None
+        if error is not None or not block_dsts:
             continue
-        ids = block_srcs + block_dsts
-        if min(ids) < 0 or max(ids) >= node_count or any(map(eq, block_srcs, block_dsts)):
+        ends = starts[1:]
+        ends.append(len(block_dsts))
+        in_order = srcs is None and _ascends(values, starts, block_dsts) and not (
+            dsts
+            and (len(offsets) - 1, dsts[-1]) >= (values[0], block_dsts[0])
+        )
+        if in_order:
+            # Each run's destinations ascend: a self-loop is where its source
+            # would be inserted, at or before the run's last destination.
+            lasts = map((-1).__add__, ends)
+            found = map(bisect_left, repeat(block_dsts), values, starts, lasts)
+            loops = map(eq, map(block_dsts.__getitem__, found), values)
+        else:
+            block_srcs = list(chain.from_iterable(map(repeat, values, map(sub, ends, starts))))
+            loops = map(eq, block_srcs, block_dsts)
+        if (
+            min(values) < 0 or max(values) >= node_count
+            or min(block_dsts) < 0 or max(block_dsts) >= node_count
+            or any(loops)
+        ):
             error = _line_error(block, first_line, node_count)
             continue
-        if srcs is None:
-            edges = zip(block_srcs, block_dsts)
-            later = zip(islice(block_srcs, 1, None), islice(block_dsts, 1, None))
-            if not (
-                dsts and (len(offsets) - 1, dsts[-1]) >= (block_srcs[0], block_dsts[0])
-            ) and not any(map(ge, edges, later)):
-                nodes = range(len(offsets), block_srcs[-1] + 1)
-                offsets.extend(map(len(dsts).__add__, map(bisect_left, repeat(block_srcs), nodes)))
-            else:
+        if in_order:
+            # The rows of the nodes after the previous run's source, up to
+            # this run's, start where this run does; a run with the previous
+            # run's source starts no row.
+            firsts = map(len(dsts).__add__, starts)
+            gaps = map(sub, values, chain((len(offsets) - 1,), values))
+            offsets.extend(chain.from_iterable(map(repeat, firsts, gaps)))
+        else:
+            if srcs is None:
                 offsets.append(len(dsts))
                 rows = map(repeat, range(len(offsets)), _row_lengths(offsets))
                 srcs = array("i", chain.from_iterable(rows))
-        if srcs is not None:
             srcs.fromlist(block_srcs)
         dsts.fromlist(block_dsts)
 
@@ -386,6 +407,45 @@ def read_edge_list(stream: TextIO) -> DirectedGraph:
         if _sort_rows(offsets, targets):
             _raise_first_repeat(srcs, dsts, blank_lines)
     return DirectedGraph._adopt(offsets, targets)
+
+
+def _parse_block(lines: list[str]) -> tuple[list[int], list[int], list[int]]:
+    """Parse ``src,dst`` lines, each but the last ending in "\\n": the
+    values of the source runs (lines with the same source text in a row),
+    the index of each run's first line, and the destinations. Raises
+    ValueError unless every line has exactly one comma and integer ids.
+
+    2L fields for L lines means L commas in the lines. A line's "\\n" is
+    in a source field when the commas before it, the joining ones
+    included, are even in number. So if no run key, and thus no source
+    field, holds one, every line ending in "\\n" holds an odd number of
+    commas, and with L in all, every line holds one.
+    """
+    if not lines:
+        return [], [], []
+    fields = ",".join(lines).split(",")
+    if len(fields) != 2 * len(lines):
+        raise ValueError("not one comma per line")
+    src_fields = fields[::2]
+    changes = map(ne, src_fields, islice(src_fields, 1, None))
+    starts = [0, *compress(range(1, len(src_fields)), changes)]
+    keys = list(map(src_fields.__getitem__, starts))
+    if "\n" in "".join(keys):
+        raise ValueError("not one comma per line")
+    return list(map(int, keys)), starts, list(map(int, islice(fields, 1, None, 2)))
+
+
+def _ascends(values: list[int], starts: list[int], dsts: list[int]) -> bool:
+    """Whether a parsed block's edges strictly ascend: its run values never
+    descend, and every destination that is not above the one before starts
+    a run with a larger value than the run before (two texts of one value,
+    such as a padded one, make two runs)."""
+    later = starts[1:]
+    descents = sum(map(ge, dsts, islice(dsts, 1, None)))
+    befores = map(dsts.__getitem__, map((-1).__add__, later))
+    rises = map(lt, values, islice(values, 1, None))
+    at_rises = sum(map(and_, rises, map(ge, befores, map(dsts.__getitem__, later))))
+    return descents == at_rises and all(map(le, values, islice(values, 1, None)))
 
 
 def _line_error(block: list[str], first_line: int, node_count: Optional[int]) -> EdgeListFormatError:

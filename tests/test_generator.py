@@ -146,6 +146,57 @@ def test_edges_match_trace_provenance_exactly(base, activity):
             assert trace.selection_counts[i] == 0
 
 
+def reference_generation(params):
+    """The model as a plain loop: a new ``Random`` per node, seeded with
+    its derived seed, and each kept draw closed over ``path_between``.
+    Returns the rows and the three trace fields."""
+    tree = build_tree(params.tree)
+    n = tree.node_count
+    rows, counts, destinations, closure_edges = [], [], [], 0
+    for i in range(n):
+        row = set()
+        if params.include_tree_edges:
+            row.update(tree.children(i))
+            if i > 0:
+                row.add(tree.parent[i])
+        selections, kept = 0, []
+        if params.variant is Variant.ALL_ACTIVE or not tree.children(i):
+            rng = random.Random(derive_seed(params.seed, i))
+            act = params.activity
+            while act > 0:
+                if rng.random() < act:
+                    selections += 1
+                    dest = rng.randrange(n)
+                    if dest != i:
+                        kept.append(dest)
+                        row.add(dest)
+                        path = set(path_between(tree, i, dest)) - {i}
+                        closure_edges += len(path - row)
+                        row |= path
+                act -= 1
+        rows.append(sorted(row))
+        counts.append(selections)
+        destinations.append(tuple(kept))
+    return rows, counts, destinations, closure_edges
+
+
+@model_settings
+@given(model_bases(), st.floats(0.0, 3.5))
+@example(CROSSING_BASE, 0.9999)
+@example(CROSSING_BASE, 1.0)
+@example(CROSSING_BASE, 2.0001)
+@example(dict(CROSSING_BASE, variant=Variant.LEAF_ACTIVE, include_tree_edges=True), 0.7)
+@example(dict(CROSSING_BASE, include_tree_edges=True), 1.3)
+def test_generation_equals_a_plain_reference_loop(base, activity):
+    params = ModelParams(activity=activity, **base)
+    graph, trace = generate_with_trace(params)
+    rows, counts, destinations, closure_edges = reference_generation(params)
+    assert [list(row) for row in graph.out_edges] == rows
+    assert trace.selection_counts == counts
+    assert trace.destinations == destinations
+    assert trace.closure_edges_added == closure_edges
+
+
 @model_settings
 @given(model_bases(), st.floats(0.0, 3.5), st.floats(0.0, 3.5))
 @example(CROSSING_BASE, 0.7, 1.3)

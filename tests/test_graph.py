@@ -6,6 +6,7 @@ import pickle
 import random
 import sys
 import tracemalloc
+from unittest import mock
 
 import pytest
 
@@ -26,6 +27,7 @@ from hiddentree import (
     undirected_projection,
     write_edge_list,
 )
+from hiddentree import graph as graph_module
 
 
 class UnionFind:
@@ -211,6 +213,23 @@ def test_edge_list_round_trip():
     assert text.startswith(f"# nodes=50 edges={graph.edge_count}\n")
     restored = read_edge_list(io.StringIO(text))
     assert [list(r) for r in restored.out_edges] == [list(r) for r in graph.out_edges]
+
+
+def test_generated_edge_list_reads_back_in_any_line_order_and_padding():
+    # 64-character blocks end inside most source runs, so each run is
+    # parsed in pieces, and the order checks cross block boundaries.
+    graph = generate(ModelParams(tree=TreeParams(2000, 2.0, seed=5), activity=0.4, seed=5))
+    buffer = io.StringIO()
+    write_edge_list(graph, buffer)
+    header, *lines = buffer.getvalue().splitlines(keepends=True)
+    rng = random.Random(5)
+    shuffled = rng.sample(lines, len(lines))
+    padded = [rng.choice(["", " ", "\t"]) + line for line in lines]
+    with mock.patch.object(graph_module, "_BLOCK_CHARS", 64):
+        for body in (lines, shuffled, padded):
+            restored = read_edge_list(io.StringIO(header + "".join(body)))
+            assert restored.offsets == graph.offsets
+            assert restored.targets == graph.targets
 
 
 @pytest.mark.parametrize("nodes", [2000, 20000])

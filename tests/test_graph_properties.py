@@ -198,6 +198,35 @@ def edge_list_texts(draw):
 @example("# nodes=6 edges=7\n0,1\n0,2\n1,3\n\n3,4\n2,5\n1,0\n0,2\n", 7)
 @example("# nodes=6 edges=7\n0,1\n0,2\n1,3\n\n3,4\n2,5\n1,0\n0,2\n", 16)
 @example("# nodes=6 edges=6\n0,1\n0,2\n1,3\n\n3,4\n2,5\n1,0\n", 7)
+# A line with two commas and one with none hold two commas in all: in one
+# block at either size, then across a block boundary at size 7.
+@example("# nodes=20 edges=2\n1,2,3\n12\n", 7)
+@example("# nodes=20 edges=2\n1,2,3\n12\n", 16)
+@example("# nodes=20 edges=2\n12\n1,2,3\n", 7)
+@example("# nodes=20 edges=2\n12\n1,2,3\n", 16)
+@example("# nodes=20 edges=3\n0,1\n1,2,3\n12\n", 7)
+@example("# nodes=20 edges=3\n0,1\n1,2,3\n12\n", 16)
+@example("# nodes=20 edges=3\n0,1\n12\n1,2,3\n", 7)
+@example("# nodes=20 edges=3\n0,1\n12\n1,2,3\n", 16)
+# A padded source splits its run in two runs of one value: out of order,
+# in order, and a repeat across the padded line.
+@example("# nodes=9 edges=3\n5,1\n 5,7\n5,3\n", 7)
+@example("# nodes=9 edges=3\n5,1\n 5,7\n5,3\n", 16)
+@example("# nodes=9 edges=3\n5,1\n 5,3\n5,7\n", 7)
+@example("# nodes=9 edges=3\n5,1\n 5,3\n5,7\n", 16)
+@example("# nodes=9 edges=3\n5,1\n 5,3\n5,3\n", 7)
+@example("# nodes=9 edges=3\n5,1\n 5,3\n5,3\n", 16)
+# Two source texts of one value as adjacent runs, with and without a
+# destination descent where the second starts, and a repeat across them.
+@example("# nodes=9 edges=3\n05,1\n05,4\n5,2\n", 7)
+@example("# nodes=9 edges=3\n05,1\n05,4\n5,2\n", 16)
+@example("# nodes=9 edges=3\n05,1\n5,2\n5,4\n", 7)
+@example("# nodes=9 edges=3\n05,1\n5,2\n5,4\n", 16)
+@example("# nodes=9 edges=2\n05,1\n5,1\n", 7)
+@example("# nodes=9 edges=2\n05,1\n5,1\n", 16)
+# A self-loop inside a long run of ascending destinations.
+@example("# nodes=9 edges=8\n3,8\n4,0\n4,1\n4,2\n4,3\n4,4\n4,5\n4,6\n", 7)
+@example("# nodes=9 edges=8\n3,8\n4,0\n4,1\n4,2\n4,3\n4,4\n4,5\n4,6\n", 16)
 def test_reader_matches_line_by_line_oracle(text, block_chars):
     expected = outcome(oracle_read_edge_list, text)
     # Small blocks put block boundaries between any two lines.
