@@ -601,22 +601,22 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
     _check_outputs(args, out_path)
     with in_path.open() as fh:
         projection = project_in_place(read_edge_list(fh))
-    neighbors = projection.neighbors
+    offsets, targets = projection.offsets, projection.targets
     if args.component == "giant":
         members = giant_members(projection)
     else:
-        members = range(len(neighbors))
+        members = range(projection.node_count)
     with _atomic_open(out_path) as fh:
         fh.write("graph g {\n")
         fh.writelines(f"  {node};\n" for node in members)
         # A component is closed under adjacency, so a member's higher
-        # neighbours are exactly its edges to later members.
+        # neighbours are exactly its edges to later members; each member's
+        # lines are one % format.
         for u in members:
-            nbrs = neighbors[u]
-            higher = nbrs[bisect_right(nbrs, u):]
-            if higher:
-                prefix = f"  {u} -- "
-                fh.write(prefix + f";\n{prefix}".join(map(str, higher)) + ";\n")
+            end = offsets[u + 1]
+            start = bisect_right(targets, u, offsets[u], end)
+            if start < end:
+                fh.write((f"  {u} -- %d;\n" * (end - start)) % tuple(targets[start:end]))
         fh.write("}\n")
     return EXIT_OK
 

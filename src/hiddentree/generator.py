@@ -119,7 +119,9 @@ def _run(
 
     Node i's out-edges only grow while node i is processed, so each node
     fills one set that is appended, sorted, as the graph's row i as soon
-    as it is done. In-degrees are left for the graph to count if they are read.
+    as it is done; a node with one kept destination and no tree edges
+    appends its sorted tree path with no set. In-degrees are left for the
+    graph to count if they are read.
     Returns the graph, then the trace fields: per-node selection counts
     and kept destinations (empty unless ``with_trace``) and the number of
     closure edges added.
@@ -155,8 +157,16 @@ def _run(
                     if dest != i:
                         kept.append(dest)
                 act -= 1
-        # Most nodes keep no destination, and then need no set.
-        if kept or tree_edges:
+        # Most nodes keep no destination, and then need no set; one kept
+        # destination and no tree edges make the row one tree path, whose
+        # nodes are distinct. Its two parts descend, and sorting merges them.
+        if len(kept) == 1 and not tree_edges:
+            up, down = climb(tree, i, kept[0])
+            row = up[1:] + down
+            row.sort()
+            targets.fromlist(row)
+            closure_added += len(row) - 1
+        elif kept or tree_edges:
             edges_i: set[int] = set()
             if tree_edges:
                 edges_i.update(children(i))

@@ -223,7 +223,13 @@ def project_in_place(g: DirectedGraph) -> UndirectedGraph:
         # fill[v] is now the end of row v's slots, where row v+1's begin.
         s = end = 0
         for out_degree, e in zip(_row_lengths(offsets), fill):
-            if out_degree == 0 or s + out_degree == e:
+            # A row with one part, or whose out-part ends below its in-part,
+            # is already sorted and free of repeats.
+            if (
+                out_degree == 0
+                or s + out_degree == e
+                or buf[s + out_degree - 1] < buf[s + out_degree]
+            ):
                 if s != end:
                     buf[end:end + e - s] = buf[s:e]
                 end += e - s
@@ -290,10 +296,10 @@ def giant_component(g: UndirectedGraph) -> tuple[array, UndirectedGraph]:
 def write_edge_list(g: DirectedGraph, stream: TextIO) -> None:
     """Write the `# nodes=<N> edges=<E>` header then one `src,dst` line per edge."""
     stream.write(f"# nodes={g.node_count} edges={g.edge_count}\n")
+    # One % format per row: no str object per destination.
     for src, dsts in enumerate(g.out_edges):
         if dsts:
-            prefix = f"{src},"
-            stream.write(prefix + f"\n{prefix}".join(map(str, dsts)) + "\n")
+            stream.write((f"{src},%d\n" * len(dsts)) % tuple(dsts))
 
 
 def read_edge_list(stream: TextIO) -> DirectedGraph:

@@ -16,13 +16,17 @@ import math
 import random
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Iterable, TextIO
 
 from .errors import ParameterError
 from .graph import node_count_error
 
 __all__ = ["TreeParams", "HiddenTree", "build_tree", "lca", "path_between", "write_tree_dump"]
+
+# Nodes per line block of write_tree_dump: each block is one % format,
+# and its text and fields are all the dump holds at a time.
+_DUMP_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -162,5 +166,8 @@ def climb(tree: HiddenTree, u: int, v: int) -> tuple[list[int], list[int]]:
 
 def write_tree_dump(tree: HiddenTree, stream: TextIO) -> None:
     """Write one ``node_id<TAB>parent_id<TAB>depth`` line per node (root parent is -1)."""
-    for i in range(tree.node_count):
-        stream.write(f"{i}\t{tree.parent[i]}\t{tree.depth[i]}\n")
+    parent, depth = tree.parent, tree.depth
+    for a in range(0, tree.node_count, _DUMP_BLOCK):
+        b = min(a + _DUMP_BLOCK, tree.node_count)
+        fields = chain.from_iterable(zip(range(a, b), parent[a:b], depth[a:b]))
+        stream.write(("%d\t%d\t%d\n" * (b - a)) % tuple(fields))

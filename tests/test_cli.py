@@ -714,17 +714,45 @@ def dot_from_giant_component(graph):
     return "graph g {\n" + "".join(lines) + "}\n"
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_export_dot_giant_equals_giant_component(tmp_path, seed):
+def dot_from_projection(graph):
+    """The DOT text of the whole projection: every node, then every edge."""
+    lines = [f"  {node};\n" for node in range(graph.node_count)]
+    lines += [f"  {u} -- {v};\n" for u, v in undirected_projection(graph).edges()]
+    return "graph g {\n" + "".join(lines) + "}\n"
+
+
+def random_graph(seed):
     rng = random.Random(seed)
     n = rng.randint(1, 30)
     pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]
-    graph = DirectedGraph(n, [(u, v) for u, v in pairs if u != v])
+    return DirectedGraph(n, [(u, v) for u, v in pairs if u != v])
+
+
+def hub_graph():
+    """Node 17 of 50 adjacent to all others, by out-edges to the even ids
+    and in-edges from the odd ones, plus a few edges among the others."""
+    edges = [(17, v) if v % 2 == 0 else (v, 17) for v in range(50) if v != 17]
+    return DirectedGraph(50, edges + [(3, 40), (40, 3), (49, 0), (8, 9)])
+
+
+def export_dot(tmp_path, graph, component):
     edge_file = tmp_path / "net.edges"
     with edge_file.open("w") as fh:
         write_edge_list(graph, fh)
-    assert run_cli("export-dot", edge_file, "--component", "giant") == 0
-    assert (tmp_path / "net.dot").read_text() == dot_from_giant_component(graph)
+    assert run_cli("export-dot", edge_file, "--component", component) == 0
+    return (tmp_path / "net.dot").read_text()
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_export_dot_giant_equals_giant_component(tmp_path, seed):
+    graph = random_graph(seed)
+    assert export_dot(tmp_path, graph, "giant") == dot_from_giant_component(graph)
+
+
+@pytest.mark.parametrize("seed", [*range(20), "hub"])
+def test_export_dot_full_equals_the_projection(tmp_path, seed):
+    graph = hub_graph() if seed == "hub" else random_graph(seed)
+    assert export_dot(tmp_path, graph, "full") == dot_from_projection(graph)
 
 
 def test_export_dot_matches_reported_component_size(tmp_path):

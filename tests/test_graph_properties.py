@@ -245,17 +245,22 @@ def directed_graphs(draw):
     return DirectedGraph(n, [(u, v) for u, v in pairs if u != v])
 
 
-@graph_settings
-@given(directed_graphs())
-def test_projection_equals_symmetric_closure(graph):
+def symmetric_closure(graph):
+    """Each node's sorted neighbours, from one set per node."""
     closure = [set() for _ in range(graph.node_count)]
     for src, dsts in enumerate(graph.out_edges):
         for dst in dsts:
             closure[src].add(dst)
             closure[dst].add(src)
+    return [sorted(nbrs) for nbrs in closure]
+
+
+@graph_settings
+@given(directed_graphs())
+def test_projection_equals_symmetric_closure(graph):
     out_edges = [list(dsts) for dsts in graph.out_edges]
     projection = undirected_projection(graph)
-    assert [list(r) for r in projection.neighbors] == [sorted(nbrs) for nbrs in closure]
+    assert [list(r) for r in projection.neighbors] == symmetric_closure(graph)
     # Neither the projection nor a component extraction on it may change
     # the directed graph's rows.
     giant_component(projection)
@@ -269,14 +274,21 @@ def test_projection_equals_symmetric_closure(graph):
 @example(DirectedGraph(4), True)  # isolated nodes only
 @example(DirectedGraph(3, [(0, 1), (1, 0), (1, 2), (2, 1)]), True)  # reciprocal pairs
 @example(DirectedGraph(5, [(0, 3), (0, 4), (1, 3), (4, 3)]), False)  # only out, only in, none
+# Node 1's out-part [0] ends below its in-part [2, 3]: moved whole.
+@example(DirectedGraph(4, [(1, 0), (2, 1), (3, 1)]), False)
+# Node 2's out-part [0, 3] and in-part [1, 4] interleave: merged.
+@example(DirectedGraph(5, [(2, 0), (2, 3), (1, 2), (4, 2)]), False)
+# Node 1's out-part [0, 2] ends on its in-part's first entry: merged, and
+# the repeat dropped.
+@example(DirectedGraph(3, [(1, 0), (1, 2), (2, 1)]), False)
 def test_handed_over_projection_equals_the_kept_graphs(graph, counted):
     handed = DirectedGraph(graph.node_count, graph.edges())
     if counted:
         handed.in_degree
     projection = project_in_place(handed)
-    assert [list(r) for r in projection.neighbors] == [
-        list(r) for r in undirected_projection(graph).neighbors
-    ]
+    rows = [list(r) for r in projection.neighbors]
+    assert rows == [list(r) for r in undirected_projection(graph).neighbors]
+    assert rows == symmetric_closure(graph)
     assert (handed.node_count, handed.edge_count, handed.in_degree) == (0, 0, [])
 
 

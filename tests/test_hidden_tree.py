@@ -1,5 +1,6 @@
 """Tree construction, LCA, and path queries checked against brute-force oracles."""
 
+import io
 import math
 import random
 from collections import deque
@@ -7,7 +8,7 @@ from collections import deque
 import pytest
 
 from hiddentree import HiddenTree, ParameterError, TreeParams, build_tree, lca, path_between
-from hiddentree.hidden_tree import climb, write_tree_dump
+from hiddentree.hidden_tree import _DUMP_BLOCK, climb, write_tree_dump
 
 
 def ancestor_chain(tree, u):
@@ -238,3 +239,16 @@ def test_tree_dump_format(tmp_path):
         write_tree_dump(tree, fh)
     expected = "0\t-1\t0\n1\t0\t1\n2\t0\t1\n3\t1\t2\n4\t1\t2\n5\t2\t2\n6\t2\t2\n"
     assert out.read_text() == expected
+
+
+@pytest.mark.parametrize(
+    "node_count", [1, _DUMP_BLOCK - 1, _DUMP_BLOCK, _DUMP_BLOCK + 1, 2 * _DUMP_BLOCK + 3]
+)
+def test_tree_dump_blocks_equal_the_per_line_format(node_count):
+    tree = build_tree(TreeParams(node_count=node_count, branching=1.7, seed=node_count))
+    stream = io.StringIO()
+    write_tree_dump(tree, stream)
+    parent, depth = tree.parent, tree.depth
+    assert stream.getvalue() == "".join(
+        f"{i}\t{parent[i]}\t{depth[i]}\n" for i in range(node_count)
+    )
