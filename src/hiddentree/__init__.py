@@ -1,100 +1,77 @@
 """Directed network generation over a latent tree hierarchy, plus the
 measurement tools (degree CCDF, power-law fit, clustering, path lengths)
-and reference generators needed to study the resulting graphs."""
+and reference generators needed to study the resulting graphs.
 
-from .baselines import BaParams, ErParams, generate_ba, generate_er
-from .errors import (
-    ConnectivityError,
-    EdgeListFormatError,
-    EmptyDistributionError,
-    InsufficientDataError,
-    ParameterError,
-)
-from .generator import (
-    GenerationTrace,
-    ModelParams,
-    Variant,
-    derive_seed,
-    generate,
-    generate_with_trace,
-)
-from .graph import (
-    DirectedGraph,
-    UndirectedGraph,
-    giant_component,
-    giant_members,
-    project_in_place,
-    read_edge_list,
-    undirected_projection,
-    write_edge_list,
-)
-from .hidden_tree import HiddenTree, TreeParams, build_tree, lca, path_between, write_tree_dump
-from .metrics import (
-    ALL,
-    Ccdf,
-    GraphAnalysis,
-    MetricsReport,
-    PowerLawFit,
-    analyze_graph,
-    avg_clustering,
-    avg_shortest_path,
-    compute_report,
-    default_fit_kmax,
-    degree_ccdf,
-    fit_power_law,
-    fit_power_law_mle,
-    format_report,
-    report_to_dict,
-    write_ccdf,
-)
+Every exported name is resolved from its submodule on first use, so
+``import hiddentree`` loads none of them and each command of the CLI loads
+only the modules it runs."""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "ALL",
-    "BaParams",
-    "Ccdf",
-    "ConnectivityError",
-    "DirectedGraph",
-    "EdgeListFormatError",
-    "EmptyDistributionError",
-    "ErParams",
-    "GenerationTrace",
-    "GraphAnalysis",
-    "HiddenTree",
-    "InsufficientDataError",
-    "MetricsReport",
-    "ModelParams",
-    "ParameterError",
-    "PowerLawFit",
-    "TreeParams",
-    "UndirectedGraph",
-    "Variant",
-    "analyze_graph",
-    "avg_clustering",
-    "avg_shortest_path",
-    "build_tree",
-    "compute_report",
-    "default_fit_kmax",
-    "degree_ccdf",
-    "derive_seed",
-    "fit_power_law",
-    "fit_power_law_mle",
-    "format_report",
-    "generate",
-    "generate_ba",
-    "generate_er",
-    "generate_with_trace",
-    "giant_component",
-    "giant_members",
-    "lca",
-    "path_between",
-    "project_in_place",
-    "read_edge_list",
-    "report_to_dict",
-    "undirected_projection",
-    "write_ccdf",
-    "write_edge_list",
-    "write_tree_dump",
-]
+# exported name -> submodule that defines it
+_EXPORTS = {
+    "BaParams": "baselines",
+    "ErParams": "baselines",
+    "generate_ba": "baselines",
+    "generate_er": "baselines",
+    "ConnectivityError": "errors",
+    "EdgeListFormatError": "errors",
+    "EmptyDistributionError": "errors",
+    "InsufficientDataError": "errors",
+    "ParameterError": "errors",
+    "GenerationTrace": "generator",
+    "ModelParams": "generator",
+    "Variant": "generator",
+    "derive_seed": "generator",
+    "generate": "generator",
+    "generate_with_counts": "generator",
+    "generate_with_trace": "generator",
+    "DirectedGraph": "graph",
+    "UndirectedGraph": "graph",
+    "giant_component": "graph",
+    "giant_members": "graph",
+    "project_in_place": "graph",
+    "read_edge_list": "graph",
+    "undirected_projection": "graph",
+    "write_edge_list": "graph",
+    "HiddenTree": "hidden_tree",
+    "TreeParams": "hidden_tree",
+    "build_tree": "hidden_tree",
+    "lca": "hidden_tree",
+    "path_between": "hidden_tree",
+    "write_tree_dump": "hidden_tree",
+    "ALL": "metrics",
+    "Ccdf": "metrics",
+    "GraphAnalysis": "metrics",
+    "MetricsReport": "metrics",
+    "PowerLawFit": "metrics",
+    "analyze_graph": "metrics",
+    "avg_clustering": "metrics",
+    "avg_shortest_path": "metrics",
+    "compute_report": "metrics",
+    "default_fit_kmax": "metrics",
+    "degree_ccdf": "metrics",
+    "fit_power_law": "metrics",
+    "fit_power_law_mle": "metrics",
+    "format_report": "metrics",
+    "report_to_dict": "metrics",
+    "write_ccdf": "metrics",
+}
+
+__all__ = ["__version__", *sorted(_EXPORTS)]
+
+
+def __getattr__(name):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

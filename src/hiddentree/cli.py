@@ -16,14 +16,13 @@ Exit codes: 0 success, 1 usage or parameter error, 2 I/O error,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from bisect import bisect_right
 from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence, TextIO
 
 from . import __version__
 from .errors import (
@@ -33,17 +32,12 @@ from .errors import (
     InsufficientDataError,
     ParameterError,
 )
-from .generator import ModelParams, Variant, derive_seed, generate
-from .graph import giant_members, project_in_place, read_edge_list, write_edge_list
-from .hidden_tree import TreeParams, build_tree, write_tree_dump
-from .metrics import (
-    ALL,
-    analyze_graph,
-    check_fit_range,
-    format_field,
-    format_report,
-    write_ccdf,
-)
+
+# The model and analysis modules are imported inside the functions that
+# run them, so each command loads only what it runs: --version loads none
+# of them, export-dot only graph, analyze graph and metrics.
+if TYPE_CHECKING:
+    from .generator import ModelParams
 
 __all__ = ["main", "run", "build_parser"]
 
@@ -93,6 +87,8 @@ def _positive_int(text: str) -> int:
 
 
 def _path_samples_arg(text: str):
+    from .metrics import ALL
+
     return ALL if text == "all" else _positive_int(text)
 
 
@@ -304,6 +300,9 @@ def _model_params(
     branching: float,
     activity: float,
 ) -> ModelParams:
+    from .generator import ModelParams, Variant
+    from .hidden_tree import TreeParams
+
     return ModelParams(
         tree=TreeParams(node_count=nodes, branching=branching, seed=tree_seed),
         activity=activity,
@@ -346,7 +345,12 @@ def _atomic_open(path: Path) -> Iterator[TextIO]:
     sweep runs share a tag, so no two writers share a path."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with tmp.open("w") as fh:
+        fh = tmp.open("w")
+    except OSError as exc:
+        # Name the output the user asked for, not the hidden temp file.
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -360,6 +364,8 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    import json
+
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -382,6 +388,10 @@ def _format_value(value) -> str:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from .generator import generate_with_counts
+    from .graph import write_edge_list
+    from .hidden_tree import build_tree, write_tree_dump
+
     _require(args, "nodes", "branching", "activity", "out")
     params = _model_params(
         args, args.seed, _tree_seed(args), args.nodes, args.branching, args.activity
@@ -397,7 +407,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         paths.append(dump_path)
     _check_outputs(args, *paths)
     tree = build_tree(params.tree)
-    graph = generate(params, tree=tree)
+    graph, model = generate_with_counts(params, tree)
     # The manifest is written last: one left from an earlier run must not
     # describe outputs this run replaces.
     manifest_path.unlink(missing_ok=True)
@@ -412,6 +422,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         "command": "generate",
         "version": __version__,
         "params": _params_echo(params),
+        "model": model,
         "outputs": outputs,
     }
     _write_json(manifest_path, manifest)
@@ -419,6 +430,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from .graph import read_edge_list
+    from .metrics import analyze_graph, format_report, write_ccdf
+
     in_path = Path(args.edge_list)
     stem = Path(args.out) if args.out else in_path.with_suffix("")
     txt_path, json_path, ccdf_path = (
@@ -467,6 +481,10 @@ def _run_point(
     :func:`_run_files` into ``out_dir``. Returns the run's report record.
     It is a module function of plain arguments, so a worker process can
     run it."""
+    from .generator import generate
+    from .graph import write_edge_list
+    from .metrics import analyze_graph, write_ccdf
+
     files = _run_files(tag, keep_edges)
 
     def load_graph():
@@ -485,6 +503,9 @@ def _run_point(
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .generator import derive_seed
+    from .metrics import check_fit_range, format_field
+
     _require(args, "kind", "values", "out")
     check_fit_range(args.fit_kmin, args.fit_kmax)
 
@@ -596,6 +617,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_dot(args: argparse.Namespace) -> int:
+    from .graph import giant_members, project_in_place, read_edge_list
+
     in_path = Path(args.edge_list)
     out_path = Path(args.out) if args.out else in_path.with_suffix(".dot")
     _check_outputs(args, out_path)

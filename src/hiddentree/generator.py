@@ -29,6 +29,7 @@ __all__ = [
     "ModelParams",
     "GenerationTrace",
     "generate",
+    "generate_with_counts",
     "generate_with_trace",
     "derive_seed",
 ]
@@ -97,24 +98,35 @@ def generate(params: ModelParams, tree: Optional[HiddenTree] = None) -> Directed
     ``tree`` is the tree ``build_tree(params.tree)`` returns, for a caller
     that already holds it; by default it is built here.
     """
+    return generate_with_counts(params, tree)[0]
+
+
+def generate_with_counts(
+    params: ModelParams, tree: Optional[HiddenTree] = None
+) -> tuple[DirectedGraph, dict[str, int]]:
+    """As :func:`generate`, also returning what the model did: the
+    ``selections`` made, the ``self_draws_discarded`` among them, the
+    ``closure_edges`` added and the ``tree_depth``."""
     if tree is None:
         tree = build_tree(params.tree)
     elif tree.node_count != params.tree.node_count:
         raise ParameterError(
             f"tree has {tree.node_count} nodes, params.tree asks for {params.tree.node_count}"
         )
-    return _run(params, tree, with_trace=False)[0]
+    graph, _, _, model = _run(params, tree, with_trace=False)
+    model["tree_depth"] = max(tree.depth)
+    return graph, model
 
 
 def generate_with_trace(params: ModelParams) -> tuple[DirectedGraph, GenerationTrace]:
     """As :func:`generate`, also returning the per-node selection trace."""
-    graph, counts, dests, closure_added = _run(params, build_tree(params.tree), with_trace=True)
-    return graph, GenerationTrace(counts, dests, closure_added)
+    graph, counts, dests, model = _run(params, build_tree(params.tree), with_trace=True)
+    return graph, GenerationTrace(counts, dests, model["closure_edges"])
 
 
 def _run(
     params: ModelParams, tree: HiddenTree, with_trace: bool
-) -> tuple[DirectedGraph, list[int], list[tuple[int, ...]], int]:
+) -> tuple[DirectedGraph, list[int], list[tuple[int, ...]], dict[str, int]]:
     """The generation loop, one node at a time.
 
     Node i's out-edges only grow while node i is processed, so each node
@@ -123,8 +135,8 @@ def _run(
     appends its sorted tree path with no set. In-degrees are left for the
     graph to count if they are read.
     Returns the graph, then the trace fields: per-node selection counts
-    and kept destinations (empty unless ``with_trace``) and the number of
-    closure edges added.
+    and kept destinations (empty unless ``with_trace``), and the run's
+    totals of selections, discarded self-draws and closure edges added.
     """
     n = tree.node_count
     parent, children = tree.parent, tree.children
@@ -142,7 +154,7 @@ def _run(
     targets = array("i")
     counts: list[int] = []
     dests: list[tuple[int, ...]] = []
-    closure_added = 0
+    total_selections = discarded = closure_added = 0
 
     for i in range(n):
         selections = 0
@@ -156,7 +168,10 @@ def _run(
                     dest = randrange(n)
                     if dest != i:
                         kept.append(dest)
+                    else:
+                        discarded += 1
                 act -= 1
+            total_selections += selections
         # Most nodes keep no destination, and then need no set; one kept
         # destination and no tree edges make the row one tree path, whose
         # nodes are distinct. Its two parts descend, and sorting merges them.
@@ -184,4 +199,9 @@ def _run(
             counts.append(selections)
             dests.append(tuple(kept))
 
-    return DirectedGraph._adopt(offsets, targets), counts, dests, closure_added
+    model = {
+        "selections": total_selections,
+        "self_draws_discarded": discarded,
+        "closure_edges": closure_added,
+    }
+    return DirectedGraph._adopt(offsets, targets), counts, dests, model

@@ -19,19 +19,21 @@ from hypothesis import strategies as st
 import hiddentree
 from hiddentree import (
     DirectedGraph,
+    ModelParams,
     TreeParams,
     analyze_graph,
     build_tree,
     compute_report,
     derive_seed,
     format_report,
+    generate_with_trace,
     giant_component,
     read_edge_list,
     report_to_dict,
     undirected_projection,
     write_edge_list,
 )
-from hiddentree import cli, metrics
+from hiddentree import generator, hidden_tree, metrics
 from hiddentree import graph as graph_module
 from hiddentree.cli import main
 from hiddentree.metrics import format_field
@@ -64,7 +66,10 @@ def test_generate_manifest_digests_verify(tmp_path):
     assert run_cli("generate", "--nodes", 200, "--branching", "2.0",
                    "--activity", 0.4, "--seed", 3, "--out", out) == 0
     manifest = read_manifest(tmp_path / "net.edges.manifest.json")
-    assert set(manifest) == {"command", "version", "params", "outputs"}
+    assert set(manifest) == {"command", "version", "params", "model", "outputs"}
+    assert set(manifest["model"]) == {
+        "selections", "self_draws_discarded", "closure_edges", "tree_depth"
+    }
     for name, digest in manifest["outputs"].items():
         recomputed = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         assert digest == f"sha256:{recomputed}"
@@ -73,6 +78,31 @@ def test_generate_manifest_digests_verify(tmp_path):
     assert set(manifest["params"]) == {
         "nodes", "branching", "activity", "seed", "tree_seed", "variant", "include_tree_edges"
     }
+
+
+@pytest.mark.parametrize("activity", [0.4, 1.5])
+@pytest.mark.parametrize("tree_edges", [False, True])
+def test_generate_manifest_counts_what_the_model_did(tmp_path, activity, tree_edges):
+    out = tmp_path / "net.edges"
+    flags = ["--include-tree-edges"] if tree_edges else []
+    assert run_cli("generate", "--nodes", 40, "--branching", "2.0", "--activity", activity,
+                   "--seed", 2, *flags, "--out", out) == 0
+    model = read_manifest(tmp_path / "net.edges.manifest.json")["model"]
+    params = ModelParams(tree=TreeParams(40, 2.0, seed=2), activity=activity, seed=2,
+                         include_tree_edges=tree_edges)
+    _, trace = generate_with_trace(params)
+    selections = sum(trace.selection_counts)
+    kept = sum(len(dests) for dests in trace.destinations)
+    assert model == {
+        "selections": selections,
+        "self_draws_discarded": selections - kept,
+        "closure_edges": trace.closure_edges_added,
+        "tree_depth": max(build_tree(params.tree).depth),
+    }
+    # The configurations exercise every counter.
+    assert model["closure_edges"] > 0 and model["tree_depth"] > 1
+    if activity > 1:
+        assert model["self_draws_discarded"] > 0
 
 
 def test_generate_rerun_is_byte_identical(tmp_path):
@@ -93,10 +123,22 @@ def test_generate_usage_errors(tmp_path):
     assert run_cli("generate", "--bogus-flag", 1) == 1
 
 
-def test_generate_unwritable_path_is_io_error(tmp_path):
-    code = run_cli("generate", "--nodes", 5, "--branching", "2.0",
-                   "--activity", 1, "--out", tmp_path / "missing_dir" / "x.edges")
-    assert code == 2
+@pytest.mark.parametrize("argv, out", [
+    (("generate", "--nodes", 50, "--branching", "2.0", "--activity", 0.4,
+      "--out", "nodir/net.csv"), "nodir/net.csv"),
+    (("analyze", "net.edges", "--path-samples", 20, "--out", "nodir/x"), "nodir/x.report.txt"),
+    (("export-dot", "net.edges", "--out", "nodir/x.dot"), "nodir/x.dot"),
+], ids=["generate", "analyze", "export-dot"])
+def test_output_in_a_missing_directory_names_the_output(tmp_path, monkeypatch, capsys, argv, out):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("generate", "--nodes", 300, "--branching", "2.0", "--activity", 0.4,
+                   "--out", "net.edges") == 0
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert f"No such file or directory: '{out}'" in err
+    assert ".tmp" not in err
+    assert [path.name for path in tmp_path.rglob("*") if path.name.endswith(".tmp")] == []
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -131,7 +173,7 @@ def test_generate_tree_dump_builds_the_tree_once(tmp_path, monkeypatch):
     modules = [module for name, module in sys.modules.items()
                if name.partition(".")[0] == "hiddentree"
                and getattr(module, "build_tree", None) is build_tree]
-    assert {"hiddentree", "hiddentree.cli", "hiddentree.generator"} <= {
+    assert {"hiddentree", "hiddentree.hidden_tree", "hiddentree.generator"} <= {
         module.__name__ for module in modules}
     for module in modules:
         monkeypatch.setattr(module, "build_tree", counting_build_tree)
@@ -151,6 +193,13 @@ def fail_halfway(writer):
     return write
 
 
+# The module each writer is read from when a command calls it.
+WRITER_MODULES = {
+    "write_edge_list": graph_module,
+    "write_tree_dump": hidden_tree,
+    "write_ccdf": metrics,
+}
+
 GENERATE = ("generate", "--nodes", 300, "--branching", "2.0", "--activity", 0.4,
             "--out", "net.edges", "--tree-dump", "net.tree")
 SWEEP = ("sweep", "--kind", "activity", "--values", "0.2,0.4", "--nodes", 200,
@@ -167,7 +216,8 @@ def test_failed_write_leaves_no_output_or_manifest(tmp_path, monkeypatch, writer
     monkeypatch.chdir(tmp_path)
     if argv[0] == "analyze":
         assert run_cli(*GENERATE) == 0
-    monkeypatch.setattr(cli, writer, fail_halfway(getattr(cli, writer)))
+    module = WRITER_MODULES[writer]
+    monkeypatch.setattr(module, writer, fail_halfway(getattr(module, writer)))
     assert run_cli(*argv) == 2
     for name in missing:
         assert not (tmp_path / name).exists(), name
@@ -181,12 +231,13 @@ def test_failed_rerun_keeps_earlier_outputs_whole(tmp_path, monkeypatch):
     assert run_cli(*GENERATE) == 0
     first = (tmp_path / "net.edges").read_bytes()
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "write_edge_list", fail_halfway(cli.write_edge_list))
+        patch.setattr(graph_module, "write_edge_list",
+                      fail_halfway(graph_module.write_edge_list))
         assert run_cli(*rerun) == 2
     # The earlier file is untouched, but no manifest vouches for it now.
     assert (tmp_path / "net.edges").read_bytes() == first
     assert not (tmp_path / "net.edges.manifest.json").exists()
-    monkeypatch.setattr(cli, "write_tree_dump", fail_halfway(cli.write_tree_dump))
+    monkeypatch.setattr(hidden_tree, "write_tree_dump", fail_halfway(hidden_tree.write_tree_dump))
     assert run_cli(*rerun) == 2
     # The new edge list is complete, the tree dump is the earlier one.
     assert (tmp_path / "net.edges").read_bytes() != first
@@ -638,8 +689,9 @@ def test_staged_analysis_releases_each_input(tmp_path, monkeypatch, command):
     edge_file = tmp_path / "net.edges"
     assert run_cli("generate", "--nodes", 400, "--branching", "2.0",
                    "--activity", 0.4, "--out", edge_file) == 0
-    monkeypatch.setattr(cli, "read_edge_list", keep_ref("graph", cli.read_edge_list))
-    monkeypatch.setattr(cli, "generate", keep_ref("graph", cli.generate))
+    monkeypatch.setattr(graph_module, "read_edge_list",
+                        keep_ref("graph", graph_module.read_edge_list))
+    monkeypatch.setattr(generator, "generate", keep_ref("graph", generator.generate))
     monkeypatch.setattr(metrics, "project_in_place", hand_over(metrics.project_in_place))
     monkeypatch.setattr(metrics, "giant_members",
                         expect_released("graph", metrics.giant_members))
@@ -777,17 +829,22 @@ def test_leaf_variant_via_cli(tmp_path):
     assert {src for src, _ in graph.edges()} <= leaves
 
 
+SRC = Path(hiddentree.__file__).resolve().parents[1]
+SUBMODULES = ("baselines", "errors", "generator", "graph", "hidden_tree", "metrics", "cli")
+
+
 def modules_loaded_by_import():
-    """Top-level names of the modules ``import hiddentree, hiddentree.cli``
-    loads in a fresh interpreter. Only modules loaded by the import itself
-    count: the interpreter's start-up hooks may load third-party modules
-    of their own."""
-    src = Path(hiddentree.__file__).resolve().parents[1]
+    """Top-level names of the modules that importing the package and every
+    submodule loads in a fresh interpreter. Only modules loaded by the
+    imports themselves count: the interpreter's start-up hooks may load
+    third-party modules of their own."""
     code = (
-        "import json, sys\n"
-        f"sys.path.insert(0, {str(src)!r})\n"
+        "import importlib, json, sys\n"
+        f"sys.path.insert(0, {str(SRC)!r})\n"
         "before = set(sys.modules)\n"
-        "import hiddentree, hiddentree.cli\n"
+        "import hiddentree\n"
+        f"for name in {SUBMODULES!r}:\n"
+        "    importlib.import_module('hiddentree.' + name)\n"
         "print(json.dumps(sorted(set(sys.modules) - before)))\n"
     )
     result = subprocess.run([sys.executable, "-c", code],
@@ -808,31 +865,92 @@ def test_import_loads_no_worker_pool_machinery():
     assert {"concurrent", "multiprocessing"} & modules_loaded_by_import() == set()
 
 
+def modules_loaded_by_command(*argv):
+    """The modules loaded before and after ``python -m hiddentree ARGV``
+    runs, through runpy, in a fresh interpreter."""
+    code = (
+        "import runpy, sys\n"
+        "before = sorted(sys.modules)\n"
+        f"sys.path.insert(0, {str(SRC)!r})\n"
+        "try:\n"
+        "    runpy.run_module('hiddentree', run_name='__main__', alter_sys=True)\n"
+        "finally:\n"
+        "    import json\n"
+        "    print(json.dumps([before, sorted(sys.modules)]))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code, *map(str, argv)],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    before, after = json.loads(result.stdout.splitlines()[-1])
+    return set(before), set(after)
+
+
 def test_commands_without_digests_never_load_openssl(tmp_path):
     # hashlib loads OpenSSL's _hashlib, megabytes of resident memory that
     # only the commands writing a manifest (generate, sweep) need.
     edge_file = tmp_path / "net.edges"
     assert run_cli("generate", "--nodes", 300, "--branching", "2.0",
                    "--activity", 0.4, "--seed", 5, "--out", edge_file) == 0
-    src = Path(hiddentree.__file__).resolve().parents[1]
-    code = (
-        "import runpy, sys\n"
-        "if '_hashlib' in sys.modules:\n"
-        "    sys.exit(99)\n"
-        f"sys.path.insert(0, {str(src)!r})\n"
-        "try:\n"
-        "    runpy.run_module('hiddentree', run_name='__main__', alter_sys=True)\n"
-        "finally:\n"
-        "    print('_hashlib' in sys.modules)\n"
-    )
     for argv in (["--version"], ["analyze", edge_file, "--path-samples", 20],
                  ["export-dot", edge_file, "--out", tmp_path / "net.dot"]):
-        result = subprocess.run([sys.executable, "-c", code, *map(str, argv)],
-                                capture_output=True, text=True)
-        if result.returncode == 99:
+        before, after = modules_loaded_by_command(*argv)
+        if "_hashlib" in before:
             pytest.skip("interpreter start-up loads _hashlib")
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines()[-1] == "False", argv
+        assert "_hashlib" not in after, argv
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    edge_file = tmp_path / "net.edges"
+    assert run_cli("generate", "--nodes", 300, "--branching", "2.0",
+                   "--activity", 0.4, "--seed", 5, "--out", edge_file) == 0
+    model = ("--nodes", 300, "--branching", "2.0", "--activity", 0.4)
+    commands = [
+        (["--version"], set()),
+        (["export-dot", edge_file, "--out", tmp_path / "net.dot"], {"graph"}),
+        (["analyze", edge_file, "--path-samples", "all"], {"graph", "metrics"}),
+        (["generate", *model, "--out", tmp_path / "again.edges",
+          "--tree-dump", tmp_path / "again.tree"], {"generator", "hidden_tree", "graph"}),
+        (["sweep", "--kind", "activity", "--values", "0.2", "--nodes", 100,
+          "--branching", "2.0", "--path-samples", 10, "--out", tmp_path / "sweep"],
+         {"generator", "hidden_tree", "graph", "metrics"}),
+    ]
+    for argv, modules in commands:
+        _, after = modules_loaded_by_command(*argv)
+        loaded = {name for name in after if name.partition(".")[0] == "hiddentree"}
+        expected = {"hiddentree", "hiddentree.cli", "hiddentree.errors"}
+        assert loaded == expected | {f"hiddentree.{name}" for name in modules}, argv
+
+
+def test_package_exports_resolve_to_their_defining_modules():
+    code = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(SRC)!r})\n"
+        "import hiddentree\n"
+        "print(json.dumps([dir(hiddentree), sorted(sys.modules)]))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True, check=True)
+    listed, loaded = json.loads(result.stdout)
+    # The import itself loads no submodule, and dir() lists every export.
+    assert [name for name in loaded if name.startswith("hiddentree.")] == []
+    assert set(hiddentree.__all__) <= set(listed)
+
+    namespace = {}
+    exec("from hiddentree import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(hiddentree.__all__)
+    for name in hiddentree.__all__:
+        value = getattr(hiddentree, name)
+        assert namespace[name] is value
+        assert vars(hiddentree)[name] is value, name
+        if name == "__version__":
+            continue
+        owner = metrics if name == "ALL" else sys.modules[value.__module__]
+        assert owner.__name__.startswith("hiddentree."), name
+        assert getattr(owner, name) is value, name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        hiddentree.no_such_name
+    assert "no_such_name" not in vars(hiddentree)
 
 
 def test_module_entry_point_runs():
