@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 usage or parameter error, 2 I/O error,
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from bisect import bisect_right
@@ -369,9 +370,12 @@ def _write_json(path: Path, payload: dict) -> None:
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _check_outputs(args: argparse.Namespace, *outputs: Path) -> None:
+def _check_outputs(args: argparse.Namespace, *outputs: Path, check_dirs: bool = True) -> None:
     """Raise ParameterError, before anything is written, if an output path
-    resolves to an input file of ``args`` or to another output."""
+    resolves to an input file of ``args`` or to another output. With
+    ``check_dirs``, then raise the OSError that writing an output would
+    end in if its directory is missing or it is a directory, naming the
+    output as given."""
     inputs = [getattr(args, name, None) for name in ("edge_list", "config")]
     seen = {Path(path).resolve(): "an input" for path in inputs if path}
     for path in outputs:
@@ -379,6 +383,17 @@ def _check_outputs(args: argparse.Namespace, *outputs: Path) -> None:
         if key in seen:
             raise ParameterError(f"output path {path} is also {seen[key]}")
         seen[key] = "another output"
+    if not check_dirs:
+        return
+    for path in outputs:
+        try:
+            # The trailing separator fails the stat unless the parent is a
+            # directory: ENOENT if it is missing, ENOTDIR if it is a file.
+            os.stat(os.path.join(path.parent, ""))
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
+        if path.is_dir():
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
 
 
 def _format_value(value) -> str:
@@ -459,45 +474,33 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_files(tag: str, keep_edges: bool) -> list[str]:
-    """The names of the files one sweep run writes: its CCDF and, with
-    ``keep_edges``, its edge list."""
-    files = [f"ccdf_{tag}.tsv"]
-    if keep_edges:
-        files.append(f"edges_{tag}.csv")
-    return files
-
-
 def _run_point(
     params: ModelParams,
-    tag: str,
-    out_dir: Path,
-    keep_edges: bool,
+    ccdf_path: Path,
+    edges_path: Optional[Path],
     fit_kmin: int,
     fit_kmax: Optional[int],
     path_samples,
 ) -> dict:
-    """Generate and analyze one sweep run, and write its
-    :func:`_run_files` into ``out_dir``. Returns the run's report record.
-    It is a module function of plain arguments, so a worker process can
-    run it."""
+    """Generate and analyze one sweep run, write its CCDF to ``ccdf_path``
+    and, unless ``edges_path`` is None, its edge list to ``edges_path``.
+    Returns the run's report record. It is a module function of plain
+    arguments, so a worker process can run it."""
     from .generator import generate
     from .graph import write_edge_list
     from .metrics import analyze_graph, write_ccdf
 
-    files = _run_files(tag, keep_edges)
-
     def load_graph():
         graph = generate(params)
-        if keep_edges:
-            with _atomic_open(out_dir / files[1]) as fh:
+        if edges_path:
+            with _atomic_open(edges_path) as fh:
                 write_edge_list(graph, fh)
         return graph
 
     analysis = analyze_graph(
         load_graph, fit_kmin=fit_kmin, fit_kmax=fit_kmax, path_samples=path_samples
     )
-    with _atomic_open(out_dir / files[0]) as fh:
+    with _atomic_open(ccdf_path) as fh:
         write_ccdf(analysis.ccdf, fh)
     return analysis.record
 
@@ -533,7 +536,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if printed.count(text) > 1:
             raise ParameterError(f"sweep value {text} is given more than once in --values")
 
-    # Every run's parameters are checked before any file is written.
+    # The run table: one (value, replicate, params, CCDF path, edge-list
+    # path or None) row per run. Every run's parameters are checked, and
+    # every output path is known, before any file is written.
+    out_dir = Path(args.out)
+    manifest_path = out_dir / "manifest.json"
+    summary_path = out_dir / "summary.tsv"
     base_tree_seed = _tree_seed(args)
     runs = []
     for value in sorted(values):
@@ -542,31 +550,25 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             seed = derive_seed(args.seed, replicate)
             tree_seed = derive_seed(base_tree_seed, replicate)
             params = _model_params(args, seed, tree_seed, **point)
-            runs.append((value, replicate, params))
-
-    out_dir = Path(args.out)
-    manifest_path = out_dir / "manifest.json"
-    summary_path = out_dir / "summary.tsv"
-    tags = [f"{args.kind}={_format_value(value)}_rep{r}" for value, r, _ in runs]
-    run_files = [name for tag in tags for name in _run_files(tag, args.keep_edges)]
-    _check_outputs(
-        args, out_dir, manifest_path, summary_path, *(out_dir / name for name in run_files)
-    )
+            tag = f"{args.kind}={_format_value(value)}_rep{replicate}"
+            edges_path = out_dir / f"edges_{tag}.csv" if args.keep_edges else None
+            runs.append((value, replicate, params, out_dir / f"ccdf_{tag}.tsv", edges_path))
+    _, _, all_params, ccdf_paths, edge_paths = zip(*runs)
+    run_paths = [path for pair in zip(ccdf_paths, edge_paths) for path in pair if path]
+    # sweep makes its own directory, so only collisions are checked.
+    _check_outputs(args, out_dir, manifest_path, summary_path, *run_paths, check_dirs=False)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path.unlink(missing_ok=True)
 
     run_point = partial(
         _run_point,
-        out_dir=out_dir,
-        keep_edges=args.keep_edges,
         fit_kmin=args.fit_kmin,
         fit_kmax=args.fit_kmax,
         path_samples=args.path_samples,
     )
-    all_params = [params for _, _, params in runs]
     workers = min(args.jobs, len(runs))
     if workers == 1:
-        results = list(map(run_point, all_params, tags))
+        results = list(map(run_point, all_params, ccdf_paths, edge_paths))
     else:
         # Processes, not threads: a run is pure-Python work under the GIL.
         # Spawned workers start from a fresh import on every platform.
@@ -575,16 +577,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
         spawn = get_context("spawn")
         with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
-            results = list(pool.map(run_point, all_params, tags))
+            results = list(pool.map(run_point, all_params, ccdf_paths, edge_paths))
 
     lines = ["\t".join(["value", "replicate", *_SUMMARY_COLUMNS])]
-    for (value, replicate, _), record in zip(runs, results):
+    for (value, replicate, *_), record in zip(runs, results):
         fields = [format_field(record[key]) for key in _SUMMARY_COLUMNS.values()]
         lines.append("\t".join([_format_value(value), str(replicate), *fields]))
     _write_text(summary_path, "\n".join(lines) + "\n")
 
-    file_names = sorted(run_files)
-    file_names.append(summary_path.name)
     manifest = {
         "command": "sweep",
         "version": __version__,
@@ -608,9 +608,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 "seed": params.seed,
                 "tree_seed": params.tree.seed,
             }
-            for value, replicate, params in runs
+            for value, replicate, params, *_ in runs
         ],
-        "outputs": {name: _sha256(out_dir / name) for name in file_names},
+        "outputs": {path.name: _sha256(path) for path in [*run_paths, summary_path]},
     }
     _write_json(manifest_path, manifest)
     return EXIT_OK

@@ -1,5 +1,13 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "ParameterError",
+    "EmptyDistributionError",
+    "InsufficientDataError",
+    "ConnectivityError",
+    "EdgeListFormatError",
+]
+
 
 class ParameterError(ValueError):
     """A model, tree, or baseline parameter violates its constraints."""

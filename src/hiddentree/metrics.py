@@ -40,8 +40,8 @@ __all__ = [
     "compute_report",
     "write_ccdf",
     "report_to_dict",
-    "format_field",
     "format_report",
+    "ALL",
 ]
 
 #: Sentinel for exact all-sources shortest-path averaging.
@@ -445,9 +445,13 @@ def compute_report(
     path_samples: Union[int, str] = 200,
 ) -> MetricsReport:
     """The report of :func:`analyze_graph` on a graph the caller keeps: the
-    analysis takes a copy of it."""
+    analysis takes a copy of its targets, and shares its offsets and
+    in-degrees, which it only reads, as :func:`graph.undirected_projection`
+    does."""
     def copy() -> DirectedGraph:
-        return DirectedGraph._adopt(g.offsets[:], g.targets[:])
+        copy = DirectedGraph._adopt(g.offsets, g.targets[:])
+        copy._in_degree = g.in_degree
+        return copy
 
     return analyze_graph(copy, fit_kmin, fit_kmax, path_samples).report
 

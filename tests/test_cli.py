@@ -2,8 +2,10 @@
 
 import concurrent.futures
 import hashlib
+import importlib
 import io
 import json
+import pkgutil
 import random
 import re
 import subprocess
@@ -123,6 +125,28 @@ def test_generate_usage_errors(tmp_path):
     assert run_cli("generate", "--bogus-flag", 1) == 1
 
 
+def bad_output_error(tmp_path, monkeypatch, capsys, argv):
+    """Run ``argv`` against a generated ``net.edges`` in ``tmp_path``, with
+    the tree build and the edge-list reader failing the test if called;
+    check that it exits 2 and changes no file, and return its error line."""
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("generate", "--nodes", 300, "--branching", "2.0", "--activity", 0.4,
+                   "--out", "net.edges") == 0
+    capsys.readouterr()
+
+    def stage(*args):
+        raise AssertionError("a stage ran before the outputs were checked")
+
+    monkeypatch.setattr(hidden_tree, "build_tree", stage)
+    monkeypatch.setattr(graph_module, "read_edge_list", stage)
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    assert run_cli(*argv) == 2
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
+    err = capsys.readouterr().err.strip()
+    assert ".tmp" not in err
+    return err
+
+
 @pytest.mark.parametrize("argv, out", [
     (("generate", "--nodes", 50, "--branching", "2.0", "--activity", 0.4,
       "--out", "nodir/net.csv"), "nodir/net.csv"),
@@ -130,15 +154,23 @@ def test_generate_usage_errors(tmp_path):
     (("export-dot", "net.edges", "--out", "nodir/x.dot"), "nodir/x.dot"),
 ], ids=["generate", "analyze", "export-dot"])
 def test_output_in_a_missing_directory_names_the_output(tmp_path, monkeypatch, capsys, argv, out):
-    monkeypatch.chdir(tmp_path)
-    assert run_cli("generate", "--nodes", 300, "--branching", "2.0", "--activity", 0.4,
-                   "--out", "net.edges") == 0
-    capsys.readouterr()
-    assert run_cli(*argv) == 2
-    err = capsys.readouterr().err
-    assert f"No such file or directory: '{out}'" in err
-    assert ".tmp" not in err
-    assert [path.name for path in tmp_path.rglob("*") if path.name.endswith(".tmp")] == []
+    assert bad_output_error(tmp_path, monkeypatch, capsys, argv).endswith(
+        f"No such file or directory: '{out}'")
+
+
+@pytest.mark.parametrize("argv, out", [
+    (("generate", "--nodes", 50, "--branching", "2.0", "--activity", 0.4, "--out", "adir"),
+     "adir"),
+    (("generate", "--nodes", 50, "--branching", "2.0", "--activity", 0.4,
+      "--out", "net2.edges", "--tree-dump", "adir"), "adir"),
+    (("analyze", "net.edges", "--path-samples", 20, "--out", "x"), "x.report.txt"),
+    (("export-dot", "net.edges", "--out", "adir"), "adir"),
+], ids=["generate-out", "generate-tree-dump", "analyze", "export-dot"])
+def test_output_that_is_a_directory_names_the_output(tmp_path, monkeypatch, capsys, argv, out):
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "x.report.txt").mkdir()
+    assert bad_output_error(tmp_path, monkeypatch, capsys, argv).endswith(
+        f"Is a directory: '{out}'")
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -260,11 +292,12 @@ MODEL = ("--nodes", 300, "--branching", "2.0", "--activity", 0.4)
     ("sweep", "--config", "sweep/manifest.json", "--out", "sweep"),
     ("sweep", "--config", "sweep/summary.tsv", "--out", "sweep"),
     ("sweep", "--config", "sweep/ccdf_activity=0.4_rep0.tsv", "--out", "sweep"),
+    ("sweep", "--config", "sweep/edges_activity=0.4_rep0.csv", "--keep-edges", "--out", "sweep"),
     ("sweep", "--config", "sweep/summary.tsv", "--out", "sweep/summary.tsv"),
 ], ids=["dump-is-out", "dump-is-manifest", "dump-shares-name", "dump-links-to-out",
         "out-is-config", "report-is-input", "ccdf-is-config", "dot-is-input", "default-dot-is-input",
         "sweep-config-is-manifest", "sweep-config-is-summary", "sweep-config-is-run-ccdf",
-        "sweep-config-is-out"])
+        "sweep-config-is-run-edges", "sweep-config-is-out"])
 def test_colliding_output_paths_exit_before_any_write(tmp_path, monkeypatch, argv):
     """An output path that resolves to an input or to another output is
     rejected before a file is written or removed."""
@@ -275,7 +308,8 @@ def test_colliding_output_paths_exit_before_any_write(tmp_path, monkeypatch, arg
     (tmp_path / "model.cfg").write_text("nodes = 300\nbranching = 2.0\nactivity = 0.4\n")
     (tmp_path / "run.ccdf.tsv").write_text("path_samples = 20\n")
     (tmp_path / "sweep").mkdir()
-    for name in ("manifest.json", "summary.tsv", "ccdf_activity=0.4_rep0.tsv"):
+    for name in ("manifest.json", "summary.tsv", "ccdf_activity=0.4_rep0.tsv",
+                 "edges_activity=0.4_rep0.csv"):
         (tmp_path / "sweep" / name).write_text(
             "kind = activity\nvalues = 0.2,0.4\nnodes = 200\nbranching = 2.0\npath_samples = 20\n"
         )
@@ -440,31 +474,34 @@ def test_config_file_errors(tmp_path, capsys):
 
 
 def test_sweep_outputs_and_manifest(tmp_path):
-    out_dir = tmp_path / "sweep"
-    assert run_cli("sweep", "--kind", "activity", "--values", "0.2,0.4",
-                   "--replicates", 2, "--nodes", 400, "--branching", "2.0",
-                   "--seed", 5, "--path-samples", 100, "--out", out_dir) == 0
-    names = sorted(path.name for path in out_dir.iterdir())
-    assert names == [
-        "ccdf_activity=0.2_rep0.tsv",
-        "ccdf_activity=0.2_rep1.tsv",
-        "ccdf_activity=0.4_rep0.tsv",
-        "ccdf_activity=0.4_rep1.tsv",
-        "manifest.json",
-        "summary.tsv",
-    ]
-    lines = (out_dir / "summary.tsv").read_text().splitlines()
-    assert lines[0].split("\t") == ["value", "replicate", "gamma", "r_squared",
-                                    "avg_clustering", "avg_shortest_path",
-                                    "max_in_degree", "giant_fraction"]
-    keys = [(line.split("\t")[0], int(line.split("\t")[1])) for line in lines[1:]]
-    assert keys == [("0.2", 0), ("0.2", 1), ("0.4", 0), ("0.4", 1)]
-    manifest = read_manifest(out_dir / "manifest.json")
-    assert len(manifest["runs"]) == 4
-    assert manifest["runs"][0]["seed"] != manifest["runs"][1]["seed"]
-    for name, digest in manifest["outputs"].items():
-        recomputed = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
-        assert digest == f"sha256:{recomputed}"
+    tags = ["activity=0.2_rep0", "activity=0.2_rep1", "activity=0.4_rep0", "activity=0.4_rep1"]
+    for keep_edges in (False, True):
+        out_dir = tmp_path / f"sweep-{keep_edges}"
+        assert run_cli("sweep", "--kind", "activity", "--values", "0.2,0.4",
+                       "--replicates", 2, "--nodes", 400, "--branching", "2.0",
+                       "--seed", 5, "--path-samples", 100, "--out", out_dir,
+                       *["--keep-edges"] * keep_edges) == 0
+        names = sorted(path.name for path in out_dir.iterdir())
+        assert names == sorted([
+            *(f"ccdf_{tag}.tsv" for tag in tags),
+            *(f"edges_{tag}.csv" for tag in tags if keep_edges),
+            "manifest.json",
+            "summary.tsv",
+        ])
+        lines = (out_dir / "summary.tsv").read_text().splitlines()
+        assert lines[0].split("\t") == ["value", "replicate", "gamma", "r_squared",
+                                        "avg_clustering", "avg_shortest_path",
+                                        "max_in_degree", "giant_fraction"]
+        keys = [(line.split("\t")[0], int(line.split("\t")[1])) for line in lines[1:]]
+        assert keys == [("0.2", 0), ("0.2", 1), ("0.4", 0), ("0.4", 1)]
+        manifest = read_manifest(out_dir / "manifest.json")
+        assert len(manifest["runs"]) == 4
+        assert manifest["runs"][0]["seed"] != manifest["runs"][1]["seed"]
+        # The manifest vouches for every other file in the directory.
+        assert sorted(manifest["outputs"]) == [name for name in names if name != "manifest.json"]
+        for name, digest in manifest["outputs"].items():
+            recomputed = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+            assert digest == f"sha256:{recomputed}"
 
 
 SWEPT_VALUES = {
@@ -948,6 +985,13 @@ def test_package_exports_resolve_to_their_defining_modules():
         owner = metrics if name == "ALL" else sys.modules[value.__module__]
         assert owner.__name__.startswith("hiddentree."), name
         assert getattr(owner, name) is value, name
+    # Each submodule's __all__ is what the package exports from it.
+    for info in pkgutil.iter_modules(hiddentree.__path__):
+        if info.name in ("cli", "__main__"):
+            continue
+        module = importlib.import_module(f"hiddentree.{info.name}")
+        exported = [name for name, owner in hiddentree._EXPORTS.items() if owner == info.name]
+        assert sorted(module.__all__) == sorted(exported), info.name
     with pytest.raises(AttributeError, match="no_such_name"):
         hiddentree.no_such_name
     assert "no_such_name" not in vars(hiddentree)

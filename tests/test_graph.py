@@ -136,12 +136,12 @@ def test_hand_over_peak_beyond_the_graph_is_its_growth():
 def test_kept_graph_is_left_as_it_is():
     graph = generate(ModelParams(tree=TreeParams(300, 2.0, seed=5), activity=0.4, seed=5))
     offsets, targets = graph.offsets, graph.targets
-    before = offsets[:], targets[:]
+    before = offsets[:], targets[:], graph.in_degree[:]
     projection = undirected_projection(graph)
     compute_report(graph, path_samples=20)
     rebuilt = UndirectedGraph(graph.node_count, graph.edges())
     assert graph.offsets is offsets and graph.targets is targets
-    assert (offsets, targets) == before
+    assert (offsets, targets, graph.in_degree) == before
     assert [list(r) for r in rebuilt.neighbors] == [list(r) for r in projection.neighbors]
 
 
