@@ -63,6 +63,13 @@ _EXPORTS = {
 __all__ = ["__version__", *sorted(_EXPORTS)]
 
 
+def _exports(module):
+    """The ``__all__`` of the submodule named ``module``: the names this
+    table exports from it, so the table is their one record."""
+    owner = module.rpartition(".")[2]
+    return [name for name, source in _EXPORTS.items() if source == owner]
+
+
 def __getattr__(name):
     try:
         module = _EXPORTS[name]

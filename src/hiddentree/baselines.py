@@ -11,10 +11,11 @@ import math
 import random
 from dataclasses import dataclass
 
+from . import _exports
 from .errors import ParameterError
 from .graph import UndirectedGraph, node_count_error
 
-__all__ = ["ErParams", "BaParams", "generate_er", "generate_ba"]
+__all__ = _exports(__name__)
 
 
 @dataclass(frozen=True)

@@ -364,18 +364,16 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _json_text(payload: dict) -> str:
     import json
 
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _check_outputs(args: argparse.Namespace, *outputs: Path, check_dirs: bool = True) -> None:
     """Raise ParameterError, before anything is written, if an output path
     resolves to an input file of ``args`` or to another output. With
-    ``check_dirs``, then raise the OSError that writing an output would
-    end in if its directory is missing or it is a directory, naming the
-    output as given."""
+    ``check_dirs``, then run :func:`_check_dirs` on the outputs."""
     inputs = [getattr(args, name, None) for name in ("edge_list", "config")]
     seen = {Path(path).resolve(): "an input" for path in inputs if path}
     for path in outputs:
@@ -383,8 +381,14 @@ def _check_outputs(args: argparse.Namespace, *outputs: Path, check_dirs: bool = 
         if key in seen:
             raise ParameterError(f"output path {path} is also {seen[key]}")
         seen[key] = "another output"
-    if not check_dirs:
-        return
+    if check_dirs:
+        _check_dirs(*outputs)
+
+
+def _check_dirs(*outputs: Path) -> None:
+    """Raise the OSError that writing an output would end in if its
+    directory is missing or it is a directory, naming the output as
+    given."""
     for path in outputs:
         try:
             # The trailing separator fails the stat unless the parent is a
@@ -440,7 +444,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         "model": model,
         "outputs": outputs,
     }
-    _write_json(manifest_path, manifest)
+    _write_text(manifest_path, _json_text(manifest))
     return EXIT_OK
 
 
@@ -466,10 +470,16 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         path_samples=args.path_samples,
     )
     text = format_report(analysis.record)
-    _write_text(txt_path, text)
-    _write_json(json_path, analysis.record)
-    with _atomic_open(ccdf_path) as fh:
-        write_ccdf(analysis.ccdf, fh)
+    # Nested, so that no output replaces an earlier run's until all three
+    # are written.
+    with (
+        _atomic_open(txt_path) as txt,
+        _atomic_open(json_path) as js,
+        _atomic_open(ccdf_path) as ccdf,
+    ):
+        txt.write(text)
+        js.write(_json_text(analysis.record))
+        write_ccdf(analysis.ccdf, ccdf)
     sys.stdout.write(text)
     return EXIT_OK
 
@@ -555,9 +565,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             runs.append((value, replicate, params, out_dir / f"ccdf_{tag}.tsv", edges_path))
     _, _, all_params, ccdf_paths, edge_paths = zip(*runs)
     run_paths = [path for pair in zip(ccdf_paths, edge_paths) for path in pair if path]
-    # sweep makes its own directory, so only collisions are checked.
-    _check_outputs(args, out_dir, manifest_path, summary_path, *run_paths, check_dirs=False)
+    # sweep makes its own directory, so the files in it get the directory
+    # checks once it is made.
+    files = [manifest_path, summary_path, *run_paths]
+    _check_outputs(args, out_dir, *files, check_dirs=False)
     out_dir.mkdir(parents=True, exist_ok=True)
+    _check_dirs(*files)
     manifest_path.unlink(missing_ok=True)
 
     run_point = partial(
@@ -612,7 +625,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         ],
         "outputs": {path.name: _sha256(path) for path in [*run_paths, summary_path]},
     }
-    _write_json(manifest_path, manifest)
+    _write_text(manifest_path, _json_text(manifest))
     return EXIT_OK
 
 

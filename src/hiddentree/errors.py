@@ -1,12 +1,8 @@
 """Exception types shared across the package."""
 
-__all__ = [
-    "ParameterError",
-    "EmptyDistributionError",
-    "InsufficientDataError",
-    "ConnectivityError",
-    "EdgeListFormatError",
-]
+from . import _exports
+
+__all__ = _exports(__name__)
 
 
 class ParameterError(ValueError):

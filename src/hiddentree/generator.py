@@ -20,19 +20,12 @@ from array import array
 from dataclasses import dataclass
 from typing import Optional
 
+from . import _exports
 from .errors import ParameterError
 from .graph import DirectedGraph
 from .hidden_tree import HiddenTree, TreeParams, build_tree, climb
 
-__all__ = [
-    "Variant",
-    "ModelParams",
-    "GenerationTrace",
-    "generate",
-    "generate_with_counts",
-    "generate_with_trace",
-    "derive_seed",
-]
+__all__ = _exports(__name__)
 
 _MASK64 = (1 << 64) - 1
 

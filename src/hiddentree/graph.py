@@ -17,18 +17,10 @@ from itertools import accumulate, chain, compress, islice, repeat
 from operator import add, and_, eq, ge, le, lt, ne, sub
 from typing import Iterable, Iterator, Optional, TextIO
 
+from . import _exports
 from .errors import EdgeListFormatError, ParameterError
 
-__all__ = [
-    "DirectedGraph",
-    "UndirectedGraph",
-    "undirected_projection",
-    "project_in_place",
-    "giant_members",
-    "giant_component",
-    "write_edge_list",
-    "read_edge_list",
-]
+__all__ = _exports(__name__)
 
 #: Node counts must stay below this: ids are ``array('i')`` entries.
 NODE_LIMIT = 1 << 31
@@ -201,13 +193,14 @@ def project_in_place(g: DirectedGraph) -> UndirectedGraph:
     offsets, targets, in_degree = g.offsets, g.targets, g.in_degree
     g.offsets, g.targets, g._in_degree = array("q", [0]), array("i"), []
     n = len(offsets) - 1
+    starts = array("q", map(add, offsets, accumulate(in_degree, initial=0)))
+    fill = array("q", map(add, islice(offsets, 1, None), accumulate(in_degree, initial=0)))
+    # Dropped before the buffer doubles: a handed-over graph's in-degrees
+    # are then freed, so the two never peak together.
+    del in_degree
     # One realloc: growing it in steps would copy it and leave the old
     # copies behind.
     targets *= 2
-    starts = array("q", map(add, offsets, accumulate(in_degree, initial=0)))
-    fill = array("q", map(add, islice(offsets, 1, None), accumulate(in_degree, initial=0)))
-    del in_degree
-    nbr_offsets = array("q", [0])
     with memoryview(targets) as buf:
         for s, b, a in zip(
             islice(reversed(starts), 1, None), reversed(offsets), islice(reversed(offsets), 1, None)
@@ -221,8 +214,10 @@ def project_in_place(g: DirectedGraph) -> UndirectedGraph:
         _group_by(chain.from_iterable(map(buf.__getitem__, out_rows)), sources, fill, targets)
         del starts, out_rows, sources
         # fill[v] is now the end of row v's slots, where row v+1's begin.
+        # Once read, it is overwritten with the end of merged row v, so fill
+        # becomes the projection's offsets and no third per-node array grows.
         s = end = 0
-        for out_degree, e in zip(_row_lengths(offsets), fill):
+        for v, (out_degree, e) in enumerate(zip(_row_lengths(offsets), fill)):
             # A row with one part, or whose out-part ends below its in-part,
             # is already sorted and free of repeats.
             if (
@@ -240,10 +235,11 @@ def project_in_place(g: DirectedGraph) -> UndirectedGraph:
                 row = array("i", compress(row, map(ne, row, chain((None,), row))))
                 buf[end:end + len(row)] = row
                 end += len(row)
-            nbr_offsets.append(end)
+            fill[v] = end
             s = e
     del targets[end:]
-    return UndirectedGraph._adopt(nbr_offsets, targets)
+    fill.insert(0, 0)
+    return UndirectedGraph._adopt(fill, targets)
 
 
 def giant_members(g: UndirectedGraph) -> array:

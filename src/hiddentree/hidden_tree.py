@@ -19,10 +19,11 @@ from dataclasses import dataclass
 from itertools import accumulate, chain
 from typing import Iterable, TextIO
 
+from . import _exports
 from .errors import ParameterError
 from .graph import node_count_error
 
-__all__ = ["TreeParams", "HiddenTree", "build_tree", "lca", "path_between", "write_tree_dump"]
+__all__ = _exports(__name__)
 
 # Nodes per line block of write_tree_dump: each block is one % format,
 # and its text and fields are all the dump holds at a time.

@@ -17,6 +17,7 @@ from itertools import islice
 from operator import or_, sub
 from typing import Callable, Iterable, Optional, Sequence, Union
 
+from . import _exports
 from .errors import (
     ConnectivityError,
     EmptyDistributionError,
@@ -25,24 +26,7 @@ from .errors import (
 )
 from .graph import DirectedGraph, UndirectedGraph, giant_members, project_in_place
 
-__all__ = [
-    "Ccdf",
-    "PowerLawFit",
-    "MetricsReport",
-    "GraphAnalysis",
-    "degree_ccdf",
-    "default_fit_kmax",
-    "fit_power_law",
-    "fit_power_law_mle",
-    "avg_clustering",
-    "avg_shortest_path",
-    "analyze_graph",
-    "compute_report",
-    "write_ccdf",
-    "report_to_dict",
-    "format_report",
-    "ALL",
-]
+__all__ = _exports(__name__)
 
 #: Sentinel for exact all-sources shortest-path averaging.
 ALL = "all"

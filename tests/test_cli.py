@@ -173,6 +173,26 @@ def test_output_that_is_a_directory_names_the_output(tmp_path, monkeypatch, caps
         f"Is a directory: '{out}'")
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("out", [
+    "summary.tsv", "ccdf_activity=0.4_rep0.tsv", "edges_activity=0.2_rep0.csv",
+])
+def test_sweep_output_that_is_a_directory_names_the_output(tmp_path, monkeypatch, capsys,
+                                                           out, jobs):
+    (tmp_path / "sw" / out).mkdir(parents=True)
+
+    def generate(*args):
+        raise AssertionError("a run started before the outputs were checked")
+
+    monkeypatch.setattr(generator, "generate", generate)
+    argv = ("sweep", "--kind", "activity", "--values", "0.2,0.4", "--nodes", 200,
+            "--branching", "2.0", "--path-samples", 20, "--keep-edges", "--jobs", jobs,
+            "--out", "sw")
+    assert bad_output_error(tmp_path, monkeypatch, capsys, argv).endswith(
+        f"Is a directory: 'sw/{out}'")
+    assert [path.name for path in (tmp_path / "sw").iterdir()] == [out]
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--branching", "nan"), ("--branching", "inf"), ("--activity", "nan")])
 def test_generate_rejects_non_finite_parameters(tmp_path, capsys, flag, value):
@@ -274,6 +294,20 @@ def test_failed_rerun_keeps_earlier_outputs_whole(tmp_path, monkeypatch):
     # The new edge list is complete, the tree dump is the earlier one.
     assert (tmp_path / "net.edges").read_bytes() != first
     assert not (tmp_path / "net.edges.manifest.json").exists()
+
+
+def test_failed_analyze_rerun_keeps_all_three_earlier_outputs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*GENERATE) == 0
+    analyze = ("analyze", "net.edges", "--path-samples", 20)
+    assert run_cli(*analyze) == 0
+    names = ("net.report.txt", "net.report.json", "net.ccdf.tsv")
+    first = [(tmp_path / name).read_bytes() for name in names]
+    monkeypatch.setattr(metrics, "write_ccdf", fail_halfway(metrics.write_ccdf))
+    # Another sample count changes the report, so a replaced file would show.
+    assert run_cli(*analyze[:-1], 10) == 2
+    assert [(tmp_path / name).read_bytes() for name in names] == first
+    assert [path.name for path in tmp_path.iterdir() if path.name.endswith(".tmp")] == []
 
 
 MODEL = ("--nodes", 300, "--branching", "2.0", "--activity", 0.4)
