@@ -14,8 +14,8 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from itertools import accumulate, chain, compress, islice, repeat
-from operator import add, and_, eq, ge, le, lt, ne, sub
-from typing import Iterable, Iterator, Optional, TextIO
+from operator import add, eq, ge, lt, ne, sub
+from typing import Iterable, Iterator, TextIO
 
 from . import _exports
 from .errors import EdgeListFormatError, ParameterError
@@ -304,8 +304,9 @@ def read_edge_list(stream: TextIO) -> DirectedGraph:
     Raises :class:`EdgeListFormatError` naming the offending line: the
     header for a malformed header, a node count of 2**31 or more or a
     wrong edge count, otherwise the edge line that is malformed, out of
-    range, a self-loop or a repeat. Lines may come in any order and carry
-    surrounding whitespace; blank lines are skipped.
+    range, a self-loop or a repeat. Node ids are ASCII decimal integers.
+    Lines may come in any order and carry surrounding whitespace; blank
+    lines are skipped.
     """
     header = stream.readline()
     if not header.startswith("# nodes="):
@@ -314,108 +315,52 @@ def read_edge_list(stream: TextIO) -> DirectedGraph:
         nodes_field, edges_field = header[2:].split()
         if not edges_field.startswith("edges="):
             raise ValueError(edges_field)
-        node_count = int(nodes_field[len("nodes="):])
-        edge_count = int(edges_field[len("edges="):])
+        counts = nodes_field[len("nodes="):], edges_field[len("edges="):]
+        node_count, edge_count = map(int, counts)
+        if not all(map(_is_decimal, counts)):
+            raise ValueError(header)
     except ValueError:
         raise EdgeListFormatError(1, "malformed header") from None
     if node_count >= NODE_LIMIT:
         raise EdgeListFormatError(1, node_count_error(node_count))
 
-    # Lines are parsed a block at a time, the source column as runs of
-    # equal text (see _parse_block). A block whose ids are all in range and
-    # that has no self-loop is kept. The first block that is not gives the
-    # error, found by a rescan of its lines; later blocks are only parsed,
-    # as a malformed line wins. While the edges run in strictly ascending
-    # order, the order write_edge_list writes, the target column is already
-    # CSR and no source column is kept: offsets[u], the first edge whose
-    # source is not below u, is filled from the run starts up to the last
-    # source read. Once the order breaks, the source column is rebuilt
-    # from those offsets and kept from then on.
+    # Blocks in the form write_edge_list writes (see _parse_block) are
+    # taken whole: their target column is already CSR and no source column
+    # is kept. offsets[u], the first edge whose source is not below u, is
+    # filled from the run starts up to the last source read. The first
+    # block in any other form, and the rest of the stream, are read line
+    # by line.
     offsets = array("q")
-    srcs = None  # the source column, once the order has broken
     dsts = array("i")
-    error = None  # the first out-of-range edge or self-loop
-    blank_lines: list[int] = []
-    next_line = 2
     while block := stream.readlines(_BLOCK_CHARS):
-        first_line, next_line = next_line, next_line + len(block)
+        last = (len(offsets) - 1, dsts[-1] if dsts else -1)
         try:
-            values, starts, block_dsts = _parse_block(block)
+            values, starts, block_dsts = _parse_block(block, node_count, last)
         except ValueError:
-            # A blank line, or padding int() does not strip: parse the
-            # block again with its lines stripped.
-            lines = list(map(str.strip, block))
-            if "" in lines:
-                blank_lines += [no for no, line in enumerate(lines, first_line) if not line]
-                lines = list(filter(None, lines))
-            try:
-                values, starts, block_dsts = _parse_block(list(map("{}\n".format, lines)))
-            except ValueError:
-                raise _line_error(block, first_line, None) from None
-        if error is not None or not block_dsts:
-            continue
-        ends = starts[1:]
-        ends.append(len(block_dsts))
-        in_order = srcs is None and _ascends(values, starts, block_dsts) and not (
-            dsts
-            and (len(offsets) - 1, dsts[-1]) >= (values[0], block_dsts[0])
-        )
-        if in_order:
-            # Each run's destinations ascend: a self-loop is where its source
-            # would be inserted, at or before the run's last destination.
-            lasts = map((-1).__add__, ends)
-            found = map(bisect_left, repeat(block_dsts), values, starts, lasts)
-            loops = map(eq, map(block_dsts.__getitem__, found), values)
-        else:
-            block_srcs = list(chain.from_iterable(map(repeat, values, map(sub, ends, starts))))
-            loops = map(eq, block_srcs, block_dsts)
-        if (
-            min(values) < 0 or max(values) >= node_count
-            or min(block_dsts) < 0 or max(block_dsts) >= node_count
-            or any(loops)
-        ):
-            error = _line_error(block, first_line, node_count)
-            continue
-        if in_order:
-            # The rows of the nodes after the previous run's source, up to
-            # this run's, start where this run does; a run with the previous
-            # run's source starts no row.
-            firsts = map(len(dsts).__add__, starts)
-            gaps = map(sub, values, chain((len(offsets) - 1,), values))
-            offsets.extend(chain.from_iterable(map(repeat, firsts, gaps)))
-        else:
-            if srcs is None:
-                offsets.append(len(dsts))
-                rows = map(repeat, range(len(offsets)), _row_lengths(offsets))
-                srcs = array("i", chain.from_iterable(rows))
-            srcs.fromlist(block_srcs)
+            return _read_lines(chain(block, stream), node_count, edge_count, offsets, dsts)
+        # The rows of the nodes after the previous run's source, up to this
+        # run's, start where this run does; a run that goes on with the
+        # previous block's last source starts no row.
+        firsts = map(len(dsts).__add__, starts)
+        gaps = map(sub, values, chain((len(offsets) - 1,), values))
+        offsets.extend(chain.from_iterable(map(repeat, firsts, gaps)))
         dsts.fromlist(block_dsts)
-
-    edges_read = next_line - 2 - len(blank_lines)
-    if edges_read != edge_count:
-        raise EdgeListFormatError(1, f"header says {edge_count} edges, file has {edges_read}")
-    if error is None and node_count < 1:
-        error = EdgeListFormatError(1, node_count_error(node_count))
-    if error is not None:
-        raise error
-
-    if srcs is None:
-        offsets.extend(repeat(len(dsts), node_count + 1 - len(offsets)))
-        targets = dsts
-    else:
-        targets = array("i", [0]) * len(dsts)
-        offsets = array("q", accumulate(_count(srcs, node_count), initial=0))
-        _group_by(srcs, dsts, offsets[:], targets)
-        if _sort_rows(offsets, targets):
-            _raise_first_repeat(srcs, dsts, blank_lines)
-    return DirectedGraph._adopt(offsets, targets)
+    if len(dsts) != edge_count or node_count < 1:
+        return _read_lines((), node_count, edge_count, offsets, dsts)  # raises the error
+    offsets.extend(repeat(len(dsts), node_count + 1 - len(offsets)))
+    return DirectedGraph._adopt(offsets, dsts)
 
 
-def _parse_block(lines: list[str]) -> tuple[list[int], list[int], list[int]]:
-    """Parse ``src,dst`` lines, each but the last ending in "\\n": the
-    values of the source runs (lines with the same source text in a row),
-    the index of each run's first line, and the destinations. Raises
-    ValueError unless every line has exactly one comma and integer ids.
+def _parse_block(
+    lines: list[str], node_count: int, last: tuple[int, int]
+) -> tuple[list[int], list[int], list[int]]:
+    """Parse ``src,dst`` lines, each but the last ending in "\\n", in the
+    form :func:`write_edge_list` writes: the values of the source runs
+    (lines with the same source text in a row), the index of each run's
+    first line, and the destinations. Raises ValueError unless every line
+    has exactly one comma and ids in ASCII decimal in [0, node_count), the
+    run values strictly ascend, each run's destinations strictly ascend
+    and never equal its source, and the first edge is above ``last``.
 
     2L fields for L lines means L commas in the lines. A line's "\\n" is
     in a source field when the commas before it, the joining ones
@@ -423,9 +368,11 @@ def _parse_block(lines: list[str]) -> tuple[list[int], list[int], list[int]]:
     field, holds one, every line ending in "\\n" holds an odd number of
     commas, and with L in all, every line holds one.
     """
-    if not lines:
-        return [], [], []
-    fields = ",".join(lines).split(",")
+    text = ",".join(lines)
+    # int() also takes "_" between digits, a "+" sign and non-ASCII digits.
+    if not text.isascii() or "_" in text or "+" in text:
+        raise ValueError("not ASCII decimal ids")
+    fields = text.split(",")
     if len(fields) != 2 * len(lines):
         raise ValueError("not one comma per line")
     src_fields = fields[::2]
@@ -434,42 +381,82 @@ def _parse_block(lines: list[str]) -> tuple[list[int], list[int], list[int]]:
     keys = list(map(src_fields.__getitem__, starts))
     if "\n" in "".join(keys):
         raise ValueError("not one comma per line")
-    return list(map(int, keys)), starts, list(map(int, islice(fields, 1, None, 2)))
-
-
-def _ascends(values: list[int], starts: list[int], dsts: list[int]) -> bool:
-    """Whether a parsed block's edges strictly ascend: its run values never
-    descend, and every destination that is not above the one before starts
-    a run with a larger value than the run before (two texts of one value,
-    such as a padded one, make two runs)."""
+    values = list(map(int, keys))
+    dsts = list(map(int, islice(fields, 1, None, 2)))
+    # Destinations may descend only where a run starts.
     later = starts[1:]
-    descents = sum(map(ge, dsts, islice(dsts, 1, None)))
     befores = map(dsts.__getitem__, map((-1).__add__, later))
-    rises = map(lt, values, islice(values, 1, None))
-    at_rises = sum(map(and_, rises, map(ge, befores, map(dsts.__getitem__, later))))
-    return descents == at_rises and all(map(le, values, islice(values, 1, None)))
+    at_starts = sum(map(ge, befores, map(dsts.__getitem__, later)))
+    # A self-loop is where its run's source would be inserted, at or
+    # before the run's last destination.
+    lasts = map((-1).__add__, chain(later, (len(dsts),)))
+    found = map(bisect_left, repeat(dsts), values, starts, lasts)
+    if not (
+        0 <= values[0] and values[-1] < node_count
+        and 0 <= min(dsts) and max(dsts) < node_count
+        and last < (values[0], dsts[0])
+        and all(map(lt, values, islice(values, 1, None)))
+        and sum(map(ge, dsts, islice(dsts, 1, None))) == at_starts
+        and not any(map(eq, map(dsts.__getitem__, found), values))
+    ):
+        raise ValueError("not in ascending order and range")
+    return values, starts, dsts
 
 
-def _line_error(block: list[str], first_line: int, node_count: Optional[int]) -> EdgeListFormatError:
-    """The error of the first line of ``block`` that is not blank and not
-    ``src,dst`` with integer ids or, given a ``node_count``, whose edge
-    :func:`_edge_error` rejects; ``block`` starts at line ``first_line``."""
-    for line_no, line in enumerate(block, first_line):
+def _read_lines(lines: Iterable[str], node_count: int, edge_count: int,
+                offsets: array, dsts: array) -> DirectedGraph:
+    """Finish :func:`read_edge_list` line by line, in any order, from
+    ``lines``, which follow the ``len(dsts)`` edges already read; the
+    sources of those are given by ``offsets`` up to the last one."""
+    offsets.append(len(dsts))
+    srcs = array("i", chain.from_iterable(map(repeat, range(len(offsets)), _row_lengths(offsets))))
+    blank_lines: list[int] = []
+    error = None  # the first out-of-range edge or self-loop
+    line_no = len(dsts) + 1
+    for line_no, line in enumerate(lines, line_no + 1):
         line = line.strip()
         if not line:
+            blank_lines.append(line_no)
             continue
         src_s, sep, dst_s = line.partition(",")
         if not sep:
-            return EdgeListFormatError(line_no, f"expected 'src,dst', got {line!r}")
+            raise EdgeListFormatError(line_no, f"expected 'src,dst', got {line!r}")
         try:
-            edge = int(src_s), int(dst_s)
+            src, dst = int(src_s), int(dst_s)
+            # Only such a line can hold an id int() takes but no writer writes.
+            if (not line.isascii() or "_" in line or "+" in line) and not (
+                _is_decimal(src_s) and _is_decimal(dst_s)
+            ):
+                raise ValueError(line)
         except ValueError:
-            return EdgeListFormatError(line_no, f"non-integer node id in {line!r}")
-        if node_count is not None:
-            error = _edge_error(node_count, [edge])
-            if error:
-                return EdgeListFormatError(line_no, error)
-    raise ValueError("block holds no bad line")
+            raise EdgeListFormatError(line_no, f"non-integer node id in {line!r}") from None
+        if error is None:
+            if 0 <= src < node_count and 0 <= dst < node_count and src != dst:
+                srcs.append(src)
+                dsts.append(dst)
+            else:
+                error = EdgeListFormatError(line_no, _edge_error(node_count, [(src, dst)]))
+    edges_read = line_no - 1 - len(blank_lines)
+    if edges_read != edge_count:
+        raise EdgeListFormatError(1, f"header says {edge_count} edges, file has {edges_read}")
+    if error is None and node_count < 1:
+        error = EdgeListFormatError(1, node_count_error(node_count))
+    if error is not None:
+        raise error
+
+    targets = array("i", [0]) * len(dsts)
+    offsets = array("q", accumulate(_count(srcs, node_count), initial=0))
+    _group_by(srcs, dsts, offsets[:], targets)
+    if _sort_rows(offsets, targets):
+        _raise_first_repeat(srcs, dsts, blank_lines)
+    return DirectedGraph._adopt(offsets, targets)
+
+
+def _is_decimal(field: str) -> bool:
+    """Whether a field that int() reads is written as write_edge_list
+    writes ids: ASCII digits after at most one "-", with whitespace around."""
+    digits = field.strip().removeprefix("-")
+    return digits.isascii() and digits.isdigit()
 
 
 def _row_lengths(offsets: array) -> Iterator[int]:

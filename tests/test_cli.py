@@ -385,6 +385,35 @@ def test_analyze_generated_network(tmp_path):
     assert isinstance(report["gamma_mle"], float)
 
 
+def test_analyze_and_export_dot_outputs_do_not_depend_on_line_order_or_padding(tmp_path):
+    # The reader takes write_edge_list's form block by block and reads any
+    # other order, blank lines or padding line by line.
+    ordered = tmp_path / "ordered" / "net.csv"
+    ordered.parent.mkdir()
+    assert run_cli("generate", "--nodes", 2000, "--branching", "2.0",
+                   "--activity", 0.4, "--seed", 5, "--out", ordered) == 0
+    header, *lines = ordered.read_text().splitlines(keepends=True)
+    rng = random.Random(5)
+    copies = {
+        "shuffled": rng.sample(lines, len(lines)),
+        "padded": [("\n" if i % 5 == 0 else "") + " " + line.replace(",", " ,\t")
+                   for i, line in enumerate(lines)],
+    }
+
+    def outputs(edge_file):
+        assert run_cli("analyze", edge_file) == 0
+        assert run_cli("export-dot", edge_file) == 0
+        return [(edge_file.parent / name).read_bytes()
+                for name in ("net.report.txt", "net.report.json", "net.ccdf.tsv", "net.dot")]
+
+    expected = outputs(ordered)
+    for name, body in copies.items():
+        edge_file = tmp_path / name / "net.csv"
+        edge_file.parent.mkdir()
+        edge_file.write_text(header + "".join(body))
+        assert outputs(edge_file) == expected
+
+
 def test_analyze_empty_distribution_fails(tmp_path):
     edge_file = tmp_path / "empty.edges"
     assert run_cli("generate", "--nodes", 7, "--branching", "2.0",

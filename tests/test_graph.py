@@ -215,9 +215,13 @@ def test_edge_list_round_trip():
     assert [list(r) for r in restored.out_edges] == [list(r) for r in graph.out_edges]
 
 
-def test_generated_edge_list_reads_back_in_any_line_order_and_padding():
+@pytest.mark.parametrize("block_chars", [64, graph_module._BLOCK_CHARS])
+def test_generated_edge_list_reads_back_in_any_line_order_and_padding(block_chars):
     # 64-character blocks end inside most source runs, so each run is
-    # parsed in pieces, and the order checks cross block boundaries.
+    # parsed in pieces, and the order checks cross block boundaries. The
+    # file as written never leaves the block path, and any other order or
+    # padding leaves it once: a block check that rejects too much would
+    # still read the right graph, only slower.
     graph = generate(ModelParams(tree=TreeParams(2000, 2.0, seed=5), activity=0.4, seed=5))
     buffer = io.StringIO()
     write_edge_list(graph, buffer)
@@ -225,9 +229,13 @@ def test_generated_edge_list_reads_back_in_any_line_order_and_padding():
     rng = random.Random(5)
     shuffled = rng.sample(lines, len(lines))
     padded = [rng.choice(["", " ", "\t"]) + line for line in lines]
-    with mock.patch.object(graph_module, "_BLOCK_CHARS", 64):
-        for body in (lines, shuffled, padded):
-            restored = read_edge_list(io.StringIO(header + "".join(body)))
+    last_first = [lines[-1], *lines[:-1]]
+    with mock.patch.object(graph_module, "_BLOCK_CHARS", block_chars):
+        for body, per_line_calls in ((lines, 0), (shuffled, 1), (padded, 1), (last_first, 1)):
+            with mock.patch.object(graph_module, "_read_lines",
+                                   wraps=graph_module._read_lines) as read_lines:
+                restored = read_edge_list(io.StringIO(header + "".join(body)))
+            assert read_lines.call_count == per_line_calls
             assert restored.offsets == graph.offsets
             assert restored.targets == graph.targets
 
@@ -296,6 +304,15 @@ def test_read_names_the_line_of_an_invalid_edge():
         assert reason in str(excinfo.value)
 
 
+@pytest.mark.parametrize("line", ["1,2_0", "1,+2", "0,١"])
+def test_read_rejects_ids_int_takes_but_the_writer_never_writes(line):
+    # int() reads these as 20, 2 and 1.
+    with pytest.raises(EdgeListFormatError) as excinfo:
+        read_edge_list(io.StringIO(f"# nodes=30 edges=2\n0,1\n{line}\n"))
+    assert excinfo.value.line_number == 3
+    assert str(excinfo.value) == f"line 3: non-integer node id in {line!r}"
+
+
 def test_read_rejects_repeated_edge_on_its_own_line():
     with pytest.raises(EdgeListFormatError) as excinfo:
         read_edge_list(io.StringIO("# nodes=3 edges=3\n0,1\n1,2\n0,1\n"))
@@ -315,6 +332,9 @@ def test_read_rejects_header_junk():
         "# nodes=3 weights=1",
         "# nodes=3",
         "# nodes=x edges=1",
+        "# nodes=+3 edges=1",
+        "# nodes=3 edges=0_1",
+        "# nodes=٣ edges=1",
     ):
         with pytest.raises(EdgeListFormatError) as excinfo:
             read_edge_list(io.StringIO(header + "\n0,1\n"))

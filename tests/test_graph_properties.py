@@ -1,9 +1,9 @@
 """Edge-list reader, projection and giant component against plain oracles.
 
 The reader's oracle is the straightforward line-by-line parser: strip each
-line, split it at the first comma, collect ``(src, dst)`` tuples, and let
-the validating :class:`DirectedGraph` constructor find range errors,
-self-loops and repeats. The fast reader must return the same graph or fail
+line, split it at the first comma, collect ``(src, dst)`` tuples of ASCII
+decimal ids, and let the validating :class:`DirectedGraph` constructor find
+range errors, self-loops and repeats. The fast reader must return the same graph or fail
 on the same line with the same message. Projection is checked against a
 set-based symmetric closure, and the giant component and its members
 against union-find. Clustering and path length over a member list must
@@ -12,6 +12,7 @@ equal those of the relabelled giant.
 
 import io
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -53,6 +54,9 @@ def oracle_read_edge_list(stream):
             raise ValueError(edges_field)
         node_count = int(nodes_field[len("nodes="):])
         edge_count = int(edges_field[len("edges="):])
+        if not (oracle_is_decimal(nodes_field[len("nodes="):])
+                and oracle_is_decimal(edges_field[len("edges="):])):
+            raise ValueError(header)
     except ValueError:
         raise EdgeListFormatError(1, "malformed header") from None
 
@@ -67,7 +71,10 @@ def oracle_read_edge_list(stream):
         if not sep:
             raise EdgeListFormatError(line_no, f"expected 'src,dst', got {line!r}")
         try:
-            edges.append((int(src_s), int(dst_s)))
+            edge = int(src_s), int(dst_s)
+            if not (oracle_is_decimal(src_s) and oracle_is_decimal(dst_s)):
+                raise ValueError(line)
+            edges.append(edge)
         except ValueError:
             raise EdgeListFormatError(line_no, f"non-integer node id in {line!r}") from None
 
@@ -95,6 +102,13 @@ def oracle_read_edge_list(stream):
     return graph
 
 
+def oracle_is_decimal(field):
+    """Whether a field is an id as the writer writes it: int() also takes
+    "_" between digits, a "+" sign and non-ASCII digits, which it never
+    writes."""
+    return re.fullmatch("-?[0-9]+", field.strip()) is not None
+
+
 def oracle_edge_line(index, blank_lines):
     line_no = index + 2
     for blank in blank_lines:
@@ -114,7 +128,8 @@ def outcome(reader, text):
 
 # Whitespace str.strip removes, including \x1c-\x1f, which int() keeps.
 PADDING = st.text(alphabet=" \t\x0b\x0c\x1c\x1f　", max_size=2)
-JUNK_LINES = ["a,1", "1,b", "1,2,3", "1.0,2", ",", "1,", ",2", "1 2", "12", "1,,2", "0x1,2"]
+JUNK_LINES = ["a,1", "1,b", "1,2,3", "1.0,2", ",", "1,", ",2", "1 2", "12", "1,,2", "0x1,2",
+              "1_0,2", "1,+2", "١,2"]
 
 
 @st.composite
