@@ -40,7 +40,6 @@ _EXPORTS = {
     "TreeParams": "hidden_tree",
     "build_tree": "hidden_tree",
     "lca": "hidden_tree",
-    "path_between": "hidden_tree",
     "write_tree_dump": "hidden_tree",
     "ALL": "metrics",
     "Ccdf": "metrics",

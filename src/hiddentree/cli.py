@@ -448,6 +448,18 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _analysis_options(args: argparse.Namespace) -> dict:
+    """The options ``args`` gives :func:`metrics.analyze_graph`. A fit range
+    with ``fit_kmax`` below ``fit_kmin`` raises ParameterError here, so
+    ``analyze`` and ``sweep`` reject it before any read or run."""
+    from .metrics import check_fit_range
+
+    check_fit_range(args.fit_kmin, args.fit_kmax)
+    return {
+        "fit_kmin": args.fit_kmin, "fit_kmax": args.fit_kmax, "path_samples": args.path_samples
+    }
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from .graph import read_edge_list
     from .metrics import analyze_graph, format_report, write_ccdf
@@ -458,17 +470,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         Path(f"{stem}.{suffix}") for suffix in ("report.txt", "report.json", "ccdf.tsv")
     )
     _check_outputs(args, txt_path, json_path, ccdf_path)
-
-    def load_graph():
-        with in_path.open() as fh:
-            return read_edge_list(fh)
-
-    analysis = analyze_graph(
-        load_graph,
-        fit_kmin=args.fit_kmin,
-        fit_kmax=args.fit_kmax,
-        path_samples=args.path_samples,
-    )
+    options = _analysis_options(args)
+    with in_path.open() as fh:
+        graph = read_edge_list(fh)
+    analysis = analyze_graph(graph, **options)
     text = format_report(analysis.record)
     # Nested, so that no output replaces an earlier run's until all three
     # are written.
@@ -500,16 +505,11 @@ def _run_point(
     from .graph import write_edge_list
     from .metrics import analyze_graph, write_ccdf
 
-    def load_graph():
-        graph = generate(params)
-        if edges_path:
-            with _atomic_open(edges_path) as fh:
-                write_edge_list(graph, fh)
-        return graph
-
-    analysis = analyze_graph(
-        load_graph, fit_kmin=fit_kmin, fit_kmax=fit_kmax, path_samples=path_samples
-    )
+    graph = generate(params)
+    if edges_path:
+        with _atomic_open(edges_path) as fh:
+            write_edge_list(graph, fh)
+    analysis = analyze_graph(graph, fit_kmin, fit_kmax, path_samples)
     with _atomic_open(ccdf_path) as fh:
         write_ccdf(analysis.ccdf, fh)
     return analysis.record
@@ -517,10 +517,10 @@ def _run_point(
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from .generator import derive_seed
-    from .metrics import check_fit_range, format_field
+    from .metrics import format_field
 
     _require(args, "kind", "values", "out")
-    check_fit_range(args.fit_kmin, args.fit_kmax)
+    options = _analysis_options(args)
 
     fixed = {"nodes": args.nodes, "branching": args.branching, "activity": args.activity}
     if fixed[args.kind] is not None:
@@ -573,12 +573,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     _check_dirs(*files)
     manifest_path.unlink(missing_ok=True)
 
-    run_point = partial(
-        _run_point,
-        fit_kmin=args.fit_kmin,
-        fit_kmax=args.fit_kmax,
-        path_samples=args.path_samples,
-    )
+    run_point = partial(_run_point, **options)
     workers = min(args.jobs, len(runs))
     if workers == 1:
         results = list(map(run_point, all_params, ccdf_paths, edge_paths))

@@ -162,13 +162,19 @@ class UndirectedGraph(_Csr):
 def undirected_projection(g: DirectedGraph) -> UndirectedGraph:
     """Collapse edge directions: {i, j} present iff i->j or j->i is.
 
-    For a graph the caller keeps: :func:`project_in_place` runs on a copy
-    of its targets, and ``g`` is left as it is. The offsets are shared, as
-    the projection only reads them.
+    For a graph the caller keeps: :func:`project_in_place` runs on
+    :func:`_kept_copy` of it, and ``g`` is left as it is.
     """
+    return project_in_place(_kept_copy(g))
+
+
+def _kept_copy(g: DirectedGraph) -> DirectedGraph:
+    """A graph with ``g``'s edges, to hand over in place of a graph the
+    caller keeps: the targets are copied, and the offsets and in-degrees
+    shared, as :func:`project_in_place` only reads them."""
     copy = DirectedGraph._adopt(g.offsets, g.targets[:])
     copy._in_degree = g.in_degree
-    return project_in_place(copy)
+    return copy
 
 
 def project_in_place(g: DirectedGraph) -> UndirectedGraph:

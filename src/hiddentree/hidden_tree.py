@@ -1,4 +1,4 @@
-"""Static latent tree: construction, ancestor queries, and path queries.
+"""Static latent tree: construction, the climb to a common ancestor, and lca.
 
 The tree is rooted at node 0 and nodes are numbered in breadth-first
 order, so ``parent[i] < i`` for every non-root node and ``parent`` never
@@ -131,15 +131,6 @@ def lca(tree: HiddenTree, u: int, v: int) -> int:
     tree._check_node(v)
     up, _ = climb(tree, u, v)
     return up[-1]
-
-
-def path_between(tree: HiddenTree, u: int, v: int) -> list[int]:
-    """The unique tree path from u to v, inclusive of both endpoints."""
-    tree._check_node(u)
-    tree._check_node(v)
-    up, down = climb(tree, u, v)
-    down.reverse()
-    return up + down
 
 
 def climb(tree: HiddenTree, u: int, v: int) -> tuple[list[int], list[int]]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import islice
 from operator import or_, sub
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from . import _exports
 from .errors import (
@@ -24,7 +24,7 @@ from .errors import (
     InsufficientDataError,
     ParameterError,
 )
-from .graph import DirectedGraph, UndirectedGraph, giant_members, project_in_place
+from .graph import DirectedGraph, UndirectedGraph, _kept_copy, giant_members, project_in_place
 
 __all__ = _exports(__name__)
 
@@ -369,30 +369,30 @@ def check_fit_range(fit_kmin: int, fit_kmax: Optional[int]) -> None:
 
 
 def analyze_graph(
-    load_graph: Callable[[], DirectedGraph],
+    graph: DirectedGraph,
     fit_kmin: int = 2,
     fit_kmax: Optional[int] = None,
     path_samples: Union[int, str] = 200,
 ) -> GraphAnalysis:
-    """All metrics of the graph ``load_graph()`` returns, in stages.
+    """All metrics of ``graph``, in stages; the graph is handed over, and
+    is left empty, with no nodes and no edges.
 
     The CCDF fit and the Hill estimate ``gamma_mle`` are on in-degrees;
     clustering and path length are on the giant component of the
     undirected projection, read in place through the sorted
-    :func:`giant_members` rather than from a relabelled copy. The directed
-    graph is handed to :func:`project_in_place`, which builds the
-    projection in its buffers, before the giant component is found. The
-    graph comes from a loader rather than an argument, as no one else may
-    hold the graph it hands over.
+    :func:`giant_members` rather than from a relabelled copy. Once the
+    in-degree fit is made, the graph is handed to :func:`project_in_place`,
+    which builds the projection in its buffers.
     ``fit_kmax=None`` selects the automatic cutoff bound.
 
     The record holds ``nodes``, ``edges``, the :func:`report_to_dict`
     entries and ``gamma_mle``, in that order; an estimate that has too
-    little data is None. A ``fit_kmax`` below ``fit_kmin`` raises
-    :class:`ParameterError` before the graph is loaded.
+    little data is None. A ``fit_kmin`` below 1, a ``fit_kmax`` below
+    ``fit_kmin`` (:class:`ParameterError`) and a graph with no edges
+    (:class:`EmptyDistributionError`) are rejected before the graph is
+    handed over, so it is left as it was.
     """
     check_fit_range(fit_kmin, fit_kmax)
-    graph = load_graph()
     record = {"nodes": graph.node_count, "edges": graph.edge_count}
     ccdf = degree_ccdf(graph.in_degree)
     if fit_kmax is None:
@@ -408,7 +408,6 @@ def analyze_graph(
     max_in_degree = max(graph.in_degree)
 
     projection = project_in_place(graph)
-    del graph
     members = giant_members(projection)
     report = MetricsReport(
         fit=fit,
@@ -429,15 +428,9 @@ def compute_report(
     path_samples: Union[int, str] = 200,
 ) -> MetricsReport:
     """The report of :func:`analyze_graph` on a graph the caller keeps: the
-    analysis takes a copy of its targets, and shares its offsets and
-    in-degrees, which it only reads, as :func:`graph.undirected_projection`
-    does."""
-    def copy() -> DirectedGraph:
-        copy = DirectedGraph._adopt(g.offsets, g.targets[:])
-        copy._in_degree = g.in_degree
-        return copy
-
-    return analyze_graph(copy, fit_kmin, fit_kmax, path_samples).report
+    analysis runs on a kept-graph copy, as :func:`graph.undirected_projection`
+    does, and ``g`` is left as it is."""
+    return analyze_graph(_kept_copy(g), fit_kmin, fit_kmax, path_samples).report
 
 
 def write_ccdf(ccdf: Ccdf, stream) -> None:

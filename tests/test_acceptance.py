@@ -29,10 +29,10 @@ from hiddentree import (
     generate_er,
     generate_with_trace,
     giant_component,
-    path_between,
     undirected_projection,
 )
 from hiddentree.cli import main as cli_main
+from hiddentree.hidden_tree import climb
 
 
 def fit_in_degrees(degrees):
@@ -230,8 +230,9 @@ def test_criterion_05_selection_counts_average_to_activity():
 
 
 def test_criterion_06_paths_match_bfs_oracle_on_random_trees():
-    # 50 random trees (N <= 200, branching in [1, 4]): path_between equals
-    # the BFS path on the tree adjacency for every ordered node pair.
+    # 50 random trees (N <= 200, branching in [1, 4]): the path from climb,
+    # which the generator closes over, equals the BFS path on the tree
+    # adjacency for every ordered node pair.
     rng = random.Random(606)
     for _ in range(50):
         tree = build_tree(
@@ -264,7 +265,8 @@ def test_criterion_06_paths_match_bfs_oracle_on_random_trees():
                     path.append(node)
                     node = previous[node]
                 path.reverse()
-                assert path_between(tree, source, target) == path
+                up, down = climb(tree, source, target)
+                assert up + down[::-1] == path
 
 
 def test_criterion_07_metrics_match_exhaustive_oracles():

@@ -505,6 +505,15 @@ def test_config_file_supplies_defaults_and_flags_override(tmp_path):
     assert len(manifest["runs"]) == 4
 
 
+def test_readme_library_example_runs_as_printed(capsys):
+    # The documented call forms run as the README prints them; the last
+    # line shows the graph analyze_graph was handed left empty.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Library\n\n```python\n(.*?)```", readme, flags=re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[-1].endswith(" 0 0")
+
+
 def test_config_file_errors(tmp_path, capsys):
     edge_file = tmp_path / "triangle.edges"
     write_triangle(edge_file)
@@ -735,12 +744,8 @@ def test_analyze_writes_the_analyze_graph_record(tmp_path, capsys, network):
     assert capsys.readouterr().out == text
     report = json.loads((tmp_path / "net.report.json").read_text())
     assert sorted(report) == sorted(REPORT_KEYS)
-
-    def load_graph():
-        with edge_file.open() as fh:
-            return read_edge_list(fh)
-
-    record = analyze_graph(load_graph, path_samples=50).record
+    with edge_file.open() as fh:
+        record = analyze_graph(read_edge_list(fh), path_samples=50).record
     assert list(record) == REPORT_KEYS
     assert record == report
     assert format_report(record) == text
@@ -749,25 +754,26 @@ def test_analyze_writes_the_analyze_graph_record(tmp_path, capsys, network):
 @pytest.mark.parametrize("command", ["analyze", "sweep"])
 def test_staged_analysis_releases_each_input(tmp_path, monkeypatch, command):
     # The directed graph is handed over to the projection, which leaves
-    # it empty, and must be freed before the giant component is found. No
-    # relabelled copy of the giant is built: clustering and path length
-    # read the projection itself through the member list.
+    # it empty, and the offsets it was read or generated with must be freed
+    # before the giant component is found. No relabelled copy of the giant
+    # is built: clustering and path length read the projection itself
+    # through the member list.
     refs = {}
     checks = []
     handed_over = []
+
+    def keep_offsets(stage):
+        def wrapped(*args, **kwargs):
+            graph = stage(*args, **kwargs)
+            refs["offsets"] = weakref.ref(graph.offsets)
+            return graph
+        return wrapped
 
     def hand_over(stage):
         def wrapped(g):
             result = stage(g)
             handed_over.append((g.node_count, g.edge_count))
             refs["projection"] = weakref.ref(result)
-            return result
-        return wrapped
-
-    def keep_ref(name, stage):
-        def wrapped(*args, **kwargs):
-            result = stage(*args, **kwargs)
-            refs[name] = weakref.ref(result)
             return result
         return wrapped
 
@@ -789,12 +795,11 @@ def test_staged_analysis_releases_each_input(tmp_path, monkeypatch, command):
     edge_file = tmp_path / "net.edges"
     assert run_cli("generate", "--nodes", 400, "--branching", "2.0",
                    "--activity", 0.4, "--out", edge_file) == 0
-    monkeypatch.setattr(graph_module, "read_edge_list",
-                        keep_ref("graph", graph_module.read_edge_list))
-    monkeypatch.setattr(generator, "generate", keep_ref("graph", generator.generate))
+    monkeypatch.setattr(graph_module, "read_edge_list", keep_offsets(graph_module.read_edge_list))
+    monkeypatch.setattr(generator, "generate", keep_offsets(generator.generate))
     monkeypatch.setattr(metrics, "project_in_place", hand_over(metrics.project_in_place))
     monkeypatch.setattr(metrics, "giant_members",
-                        expect_released("graph", metrics.giant_members))
+                        expect_released("offsets", metrics.giant_members))
     monkeypatch.setattr(metrics, "avg_clustering", expect_projection(metrics.avg_clustering))
     monkeypatch.setattr(metrics, "avg_shortest_path",
                         expect_projection(metrics.avg_shortest_path))
@@ -809,7 +814,7 @@ def test_staged_analysis_releases_each_input(tmp_path, monkeypatch, command):
                        "--keep-edges", "--out", tmp_path / "sweep") == 0
         runs = 2
     assert checks == [
-        ("giant_members", "graph", True),
+        ("giant_members", "offsets", True),
         ("avg_clustering", "projection", True),
         ("avg_shortest_path", "projection", True),
     ] * runs

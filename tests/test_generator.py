@@ -18,7 +18,6 @@ from hiddentree import (
     derive_seed,
     generate,
     generate_with_trace,
-    path_between,
     write_edge_list,
 )
 
@@ -35,6 +34,22 @@ def chain_params(**overrides):
     )
     defaults.update(overrides)
     return ModelParams(**defaults)
+
+
+def tree_path(tree, u, v):
+    """The nodes of the tree path between u and v, both included, from their
+    ancestor chains: the nodes on just one chain, and the first node the
+    chains share. The closure oracle, found without ``climb``."""
+    chains = []
+    for w in (u, v):
+        chain = [w]
+        while w:
+            w = tree.parent[w]
+            chain.append(w)
+        chains.append(chain)
+    up, down = chains
+    meet = next(w for w in up if w in down)
+    return (set(up) ^ set(down)) | {meet}
 
 
 def test_zero_activity_produces_no_edges():
@@ -139,7 +154,7 @@ def test_edges_match_trace_provenance_exactly(base, activity):
             if i > 0:
                 expected.add(tree.parent[i])
         for dest in trace.destinations[i]:
-            expected.update(path_between(tree, i, dest))
+            expected.update(tree_path(tree, i, dest))
         expected.discard(i)
         assert list(graph.out_edges[i]) == sorted(expected)
         if params.variant is Variant.LEAF_ACTIVE and tree.children(i):
@@ -148,7 +163,7 @@ def test_edges_match_trace_provenance_exactly(base, activity):
 
 def reference_generation(params):
     """The model as a plain loop: a new ``Random`` per node, seeded with
-    its derived seed, and each kept draw closed over ``path_between``.
+    its derived seed, and each kept draw closed over :func:`tree_path`.
     Returns the rows and the three trace fields."""
     tree = build_tree(params.tree)
     n = tree.node_count
@@ -170,7 +185,7 @@ def reference_generation(params):
                     if dest != i:
                         kept.append(dest)
                         row.add(dest)
-                        path = set(path_between(tree, i, dest)) - {i}
+                        path = tree_path(tree, i, dest) - {i}
                         closure_edges += len(path - row)
                         row |= path
                 act -= 1

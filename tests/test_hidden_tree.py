@@ -1,4 +1,4 @@
-"""Tree construction, LCA, and path queries checked against brute-force oracles."""
+"""Tree construction, LCA, and climb paths checked against brute-force oracles."""
 
 import io
 import math
@@ -7,7 +7,7 @@ from collections import deque
 
 import pytest
 
-from hiddentree import HiddenTree, ParameterError, TreeParams, build_tree, lca, path_between
+from hiddentree import HiddenTree, ParameterError, TreeParams, build_tree, lca
 from hiddentree.hidden_tree import _DUMP_BLOCK, climb, write_tree_dump
 
 
@@ -61,6 +61,13 @@ def climb_by_depth(tree, u, v):
         v = tree.parent[v]
         up.append(u)
     return up, down
+
+
+def climb_path(tree, u, v):
+    """The u-to-v tree path as the generator finds it: :func:`climb`'s
+    ``up`` followed by its ``down`` reversed."""
+    up, down = climb(tree, u, v)
+    return up + down[::-1]
 
 
 def random_tree(rng):
@@ -149,10 +156,10 @@ def test_climb_matches_depth_equalising_reference():
 
 def test_path_on_complete_binary_tree():
     tree = build_tree(TreeParams(node_count=7, branching=2.0))
-    assert path_between(tree, 3, 6) == [3, 1, 0, 2, 6]
-    assert path_between(tree, 4, 4) == [4]
+    assert climb_path(tree, 3, 6) == [3, 1, 0, 2, 6]
+    assert climb_path(tree, 4, 4) == [4]
     for child in range(1, 7):
-        assert path_between(tree, child, tree.parent[child]) == [child, tree.parent[child]]
+        assert climb_path(tree, child, tree.parent[child]) == [child, tree.parent[child]]
 
 
 def test_path_properties_on_random_trees():
@@ -162,12 +169,12 @@ def test_path_properties_on_random_trees():
         n = tree.node_count
         for _ in range(100):
             u, v = rng.randrange(n), rng.randrange(n)
-            path = path_between(tree, u, v)
+            path = climb_path(tree, u, v)
             assert path[0] == u and path[-1] == v
             assert len(set(path)) == len(path)
             meet = lca(tree, u, v)
             assert len(path) == tree.depth[u] + tree.depth[v] - 2 * tree.depth[meet] + 1
-            assert path == list(reversed(path_between(tree, v, u)))
+            assert path == list(reversed(climb_path(tree, v, u)))
             for a, b in zip(path, path[1:]):
                 assert tree.parent[a] == b or tree.parent[b] == a
 
@@ -179,7 +186,7 @@ def test_path_matches_bfs_oracle():
         n = tree.node_count
         for _ in range(100):
             u, v = rng.randrange(n), rng.randrange(n)
-            assert path_between(tree, u, v) == bfs_path(tree, u, v)
+            assert climb_path(tree, u, v) == bfs_path(tree, u, v)
 
 
 def test_structure_invariants_on_random_trees():
@@ -229,7 +236,7 @@ def test_node_id_range_checks():
     with pytest.raises(IndexError):
         lca(tree, 0, 7)
     with pytest.raises(IndexError):
-        path_between(tree, -1, 3)
+        lca(tree, -1, 3)
 
 
 def test_tree_dump_format(tmp_path):

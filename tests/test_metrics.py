@@ -241,14 +241,26 @@ def test_report_rejects_fit_kmin_below_one():
         compute_report(DirectedGraph(3, [(0, 1), (1, 2), (2, 0)]), fit_kmin=0)
 
 
-def test_fit_kmax_below_fit_kmin_is_rejected_before_loading():
-    def load_graph():
-        raise AssertionError("the graph must not be loaded")
-
-    with pytest.raises(ParameterError, match="fit_kmax 2 is below fit_kmin 3"):
-        analyze_graph(load_graph, fit_kmin=3, fit_kmax=2)
+def test_rejected_analysis_leaves_the_graph_untouched():
+    # analyze_graph rejects its options and an edgeless graph before it
+    # hands the graph to the projection, which would leave it empty.
+    triangle = [(0, 1), (1, 2), (2, 0)]
+    cases = [
+        (triangle, dict(fit_kmin=3, fit_kmax=2), ParameterError, "fit_kmax 2 is below fit_kmin 3"),
+        (triangle, dict(fit_kmin=0), ParameterError, "k_min must be >= 1"),
+        ([], {}, EmptyDistributionError, "all degrees are zero"),
+    ]
+    for edges, options, error, message in cases:
+        graph = DirectedGraph(3, edges)
+        offsets, targets = graph.offsets, graph.targets
+        kept = (offsets.tolist(), targets.tolist())
+        with pytest.raises(error, match=message):
+            analyze_graph(graph, **options)
+        assert graph.offsets is offsets and graph.targets is targets
+        assert (offsets.tolist(), targets.tolist()) == kept
+        assert list(graph.edges()) == edges
     with pytest.raises(ParameterError, match="fit_kmax 1 is below fit_kmin 2"):
-        compute_report(DirectedGraph(3, [(0, 1), (1, 2), (2, 0)]), fit_kmax=1)
+        compute_report(DirectedGraph(3, triangle), fit_kmax=1)
 
 
 def test_report_on_generated_network():
@@ -264,7 +276,7 @@ def test_fitted_values_are_the_same_on_every_python():
     # Since Python 3.12 sum() of floats is compensated; the fits sum left to
     # right, so these are the exact values on every supported version.
     params = ModelParams(TreeParams(2000, 2.0, seed=1), activity=0.4, seed=1)
-    record = analyze_graph(lambda: generate(params), path_samples=20).record
+    record = analyze_graph(generate(params), path_samples=20).record
     assert record["gamma"] == 2.001889762551939
     assert record["ccdf_slope"] == -1.0018897625519392
     assert record["r_squared"] == 0.9932793691639816
