@@ -43,7 +43,6 @@ _EXPORTS = {
     "write_tree_dump": "hidden_tree",
     "ALL": "metrics",
     "Ccdf": "metrics",
-    "GraphAnalysis": "metrics",
     "MetricsReport": "metrics",
     "PowerLawFit": "metrics",
     "analyze_graph": "metrics",

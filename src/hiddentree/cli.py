@@ -473,18 +473,18 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     options = _analysis_options(args)
     with in_path.open() as fh:
         graph = read_edge_list(fh)
-    analysis = analyze_graph(graph, **options)
-    text = format_report(analysis.record)
+    record, ccdf = analyze_graph(graph, **options)
+    text = format_report(record)
     # Nested, so that no output replaces an earlier run's until all three
     # are written.
     with (
         _atomic_open(txt_path) as txt,
         _atomic_open(json_path) as js,
-        _atomic_open(ccdf_path) as ccdf,
+        _atomic_open(ccdf_path) as tsv,
     ):
         txt.write(text)
-        js.write(_json_text(analysis.record))
-        write_ccdf(analysis.ccdf, ccdf)
+        js.write(_json_text(record))
+        write_ccdf(ccdf, tsv)
     sys.stdout.write(text)
     return EXIT_OK
 
@@ -509,10 +509,10 @@ def _run_point(
     if edges_path:
         with _atomic_open(edges_path) as fh:
             write_edge_list(graph, fh)
-    analysis = analyze_graph(graph, fit_kmin, fit_kmax, path_samples)
+    record, ccdf = analyze_graph(graph, fit_kmin, fit_kmax, path_samples)
     with _atomic_open(ccdf_path) as fh:
-        write_ccdf(analysis.ccdf, fh)
-    return analysis.record
+        write_ccdf(ccdf, fh)
+    return record
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -530,14 +530,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     needed = [name for name in _SWEEP_KINDS if name != args.kind]
     _require(args, *needed)
 
+    nodes = args.kind == "nodes"
     try:
-        if args.kind == "nodes":
-            values = [int(v) for v in args.values]
-        else:
-            values = [float(v) for v in args.values]
+        values = list(map(int if nodes else float, args.values))
     except ValueError:
         raise ParameterError(
-            f"sweep values for --kind {args.kind} must be numeric: {args.values}"
+            f"sweep values for --kind {args.kind} must be "
+            f"{'integers' if nodes else 'numeric'}: {args.values}"
         ) from None
     # A run's files are named by its printed value, so two values that
     # print alike would write the same files.

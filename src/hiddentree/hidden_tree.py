@@ -111,17 +111,13 @@ def build_tree(params: TreeParams) -> HiddenTree:
     frac = params.branching - base
     rng = random.Random(params.seed)
 
-    parent = [-1] * n
-    next_id = 1
+    parent = [-1]
     node = 0
-    while next_id < n:
+    while len(parent) < n:
         count = base + (1 if frac > 0 and rng.random() < frac else 0)
-        for _ in range(count):
-            if next_id >= n:
-                break
-            parent[next_id] = node
-            next_id += 1
+        parent += [node] * count
         node += 1
+    del parent[n:]
     return HiddenTree(parent)
 
 

@@ -61,7 +61,10 @@ class PowerLawFit:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Aggregate statistics for one generated graph.
+    """Aggregate statistics for one generated graph: the nine metric
+    entries of the record :func:`analyze_graph` returns are built from one
+    of these by :func:`report_to_dict`, as ``perfbench/traced.py`` builds
+    its own.
 
     ``fit`` is None when the distribution has too few points in the fit
     range (tiny graphs); everything else is always populated.
@@ -351,16 +354,6 @@ def avg_shortest_path(
     return total / (len(sources) * (n - 1))
 
 
-@dataclass(frozen=True)
-class GraphAnalysis:
-    """What :func:`analyze_graph` reports: the :class:`MetricsReport`, the
-    record ``report.json`` holds and the in-degree CCDF."""
-
-    report: MetricsReport
-    record: dict
-    ccdf: Ccdf
-
-
 def check_fit_range(fit_kmin: int, fit_kmax: Optional[int]) -> None:
     """Raise :class:`ParameterError` if ``fit_kmax`` is below ``fit_kmin``;
     None (the automatic bound) always passes."""
@@ -373,9 +366,10 @@ def analyze_graph(
     fit_kmin: int = 2,
     fit_kmax: Optional[int] = None,
     path_samples: Union[int, str] = 200,
-) -> GraphAnalysis:
-    """All metrics of ``graph``, in stages; the graph is handed over, and
-    is left empty, with no nodes and no edges.
+) -> tuple[dict, Ccdf]:
+    """The report record and the in-degree CCDF of ``graph``, measured in
+    stages; the graph is handed over, and is left empty, with no nodes and
+    no edges.
 
     The CCDF fit and the Hill estimate ``gamma_mle`` are on in-degrees;
     clustering and path length are on the giant component of the
@@ -385,12 +379,13 @@ def analyze_graph(
     which builds the projection in its buffers.
     ``fit_kmax=None`` selects the automatic cutoff bound.
 
-    The record holds ``nodes``, ``edges``, the :func:`report_to_dict`
-    entries and ``gamma_mle``, in that order; an estimate that has too
-    little data is None. A ``fit_kmin`` below 1, a ``fit_kmax`` below
-    ``fit_kmin`` (:class:`ParameterError`) and a graph with no edges
-    (:class:`EmptyDistributionError`) are rejected before the graph is
-    handed over, so it is left as it was.
+    The record is what ``analyze`` writes as its report: ``nodes``,
+    ``edges``, the :func:`report_to_dict` entries of a
+    :class:`MetricsReport` and ``gamma_mle``, in that order; an estimate
+    that has too little data is None. A ``fit_kmin`` below 1, a
+    ``fit_kmax`` below ``fit_kmin`` (:class:`ParameterError`) and a graph
+    with no edges (:class:`EmptyDistributionError`) are rejected before
+    the graph is handed over, so it is left as it was.
     """
     check_fit_range(fit_kmin, fit_kmax)
     record = {"nodes": graph.node_count, "edges": graph.edge_count}
@@ -418,7 +413,7 @@ def analyze_graph(
     )
     record.update(report_to_dict(report))
     record["gamma_mle"] = gamma_mle
-    return GraphAnalysis(report, record, ccdf)
+    return record, ccdf
 
 
 def compute_report(
@@ -426,11 +421,11 @@ def compute_report(
     fit_kmin: int = 2,
     fit_kmax: Optional[int] = None,
     path_samples: Union[int, str] = 200,
-) -> MetricsReport:
-    """The report of :func:`analyze_graph` on a graph the caller keeps: the
+) -> dict:
+    """The record of :func:`analyze_graph` on a graph the caller keeps: the
     analysis runs on a kept-graph copy, as :func:`graph.undirected_projection`
     does, and ``g`` is left as it is."""
-    return analyze_graph(_kept_copy(g), fit_kmin, fit_kmax, path_samples).report
+    return analyze_graph(_kept_copy(g), fit_kmin, fit_kmax, path_samples)[0]
 
 
 def write_ccdf(ccdf: Ccdf, stream) -> None:
@@ -440,7 +435,8 @@ def write_ccdf(ccdf: Ccdf, stream) -> None:
 
 
 def report_to_dict(report: MetricsReport) -> dict:
-    """Flatten the report for machine consumption; absent fit maps to None."""
+    """Flatten the report for machine consumption; absent fit maps to None.
+    These are the nine metric entries of :func:`analyze_graph`'s record."""
     return {
         "gamma": report.fit.gamma if report.fit else None,
         "ccdf_slope": report.fit.ccdf_slope if report.fit else None,

@@ -31,7 +31,6 @@ from hiddentree import (
     generate_with_trace,
     giant_component,
     read_edge_list,
-    report_to_dict,
     undirected_projection,
     write_edge_list,
 )
@@ -680,6 +679,21 @@ def test_sweep_invalid_value_writes_nothing(tmp_path):
         assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("kind, values, message", [
+    ("nodes", "1e3,2000", "sweep values for --kind nodes must be integers"),
+    ("activity", "0.2,x", "sweep values for --kind activity must be numeric"),
+])
+def test_sweep_unparsable_value_names_the_kind(tmp_path, capsys, kind, values, message):
+    out_dir = tmp_path / "sweep"
+    fixed = {"nodes": 200, "branching": "2.0", "activity": 0.4}
+    del fixed[kind]
+    options = [arg for name, value in fixed.items() for arg in (f"--{name}", value)]
+    assert run_cli("sweep", "--kind", kind, "--values", values, *options,
+                   "--out", out_dir) == 1
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_sweep_nodes_kind_uses_integer_values(tmp_path):
     out_dir = tmp_path / "nsweep"
     assert run_cli("sweep", "--kind", "nodes", "--values", "100,200",
@@ -707,8 +721,7 @@ def test_report_json_summary_row_and_compute_report_agree(tmp_path):
 
     record = json.loads((tmp_path / "net.report.json").read_text())
     with edge_file.open() as fh:
-        report = report_to_dict(compute_report(read_edge_list(fh), path_samples=50))
-    assert report.items() <= record.items()
+        assert compute_report(read_edge_list(fh), path_samples=50) == record
     header, row = (out_dir / "summary.tsv").read_text().splitlines()
     assert dict(zip(header.split("\t"), row.split("\t"))) == {
         "value": "0.4",
@@ -745,10 +758,75 @@ def test_analyze_writes_the_analyze_graph_record(tmp_path, capsys, network):
     report = json.loads((tmp_path / "net.report.json").read_text())
     assert sorted(report) == sorted(REPORT_KEYS)
     with edge_file.open() as fh:
-        record = analyze_graph(read_edge_list(fh), path_samples=50).record
+        record, _ = analyze_graph(read_edge_list(fh), path_samples=50)
     assert list(record) == REPORT_KEYS
     assert record == report
     assert format_report(record) == text
+
+
+# perfbench/traced.py runs the benchmark's library pass. Its operations are
+# run here in-process on a small network, each against the files the
+# matching command writes, so a change to the library calls it makes fails
+# here, not only in the benchmark's own cross-check.
+TRACED = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
+TRACED_MODEL = {"nodes": 2000, "branching": 2.0, "activity": 0.4, "seed": 3}
+# perfbench's analyze options, which are also analyze's defaults.
+TRACED_FIT = {"fit_kmin": 2, "fit_kmax": None, "path_samples": 200}
+
+
+def load_traced_pass() -> dict:
+    # The source is compiled and run rather than imported, so no bytecode
+    # is written under perfbench/.
+    namespace = {"__name__": "traced"}
+    exec(compile(TRACED.read_text(), str(TRACED), "exec"), namespace)
+    return namespace
+
+
+def test_perfbench_traced_operations_reproduce_the_cli_outputs(tmp_path, capsys):
+    cli, traced = tmp_path / "cli", tmp_path / "traced"
+    cli.mkdir()
+    traced.mkdir()
+    model_flags = [arg for name in ("nodes", "branching", "activity", "seed")
+                   for arg in (f"--{name}", TRACED_MODEL[name])]
+    assert run_cli("generate", *model_flags, "--tree-dump", cli / "net.tree.tsv",
+                   "--out", cli / "net.csv") == 0
+    assert run_cli("analyze", cli / "net.csv", "--out", cli / "net") == 0
+    assert run_cli("export-dot", cli / "net.csv", "--component", "giant",
+                   "--out", cli / "net.dot") == 0
+    capsys.readouterr()
+
+    namespace = load_traced_pass()
+
+    def run_op(op, **request):
+        tracer = namespace["Tracer"]()
+        result = namespace["OPS"][op](hiddentree, tracer, {"op": op, **request})
+        assert tracer.spans
+        assert all(span["end"] >= span["start"] for span in tracer.spans)
+        return result
+
+    generated = run_op("generate", model=TRACED_MODEL, out=str(traced / "net.csv"),
+                       tree_dump=str(traced / "net.tree.tsv"))
+    for name in ("net.csv", "net.tree.tsv"):
+        assert (traced / name).read_bytes() == (cli / name).read_bytes()
+
+    analyzed = run_op("analyze", edge_list=str(traced / "net.csv"),
+                      ccdf_out=str(traced / "net.ccdf.tsv"), **TRACED_FIT)
+    assert analyzed["values"] == json.loads((cli / "net.report.json").read_text())
+    assert (traced / "net.ccdf.tsv").read_bytes() == (cli / "net.ccdf.tsv").read_bytes()
+
+    exported = run_op("export_dot", edge_list=str(traced / "net.csv"))
+    dot = (cli / "net.dot").read_text().splitlines()[1:-1]
+    edge_lines = sum(" -- " in line for line in dot)
+    assert (exported["counts"]["giant_nodes"], exported["counts"]["giant_edges"]) == (
+        len(dot) - edge_lines, edge_lines)
+
+    counts = run_op("probe", model=TRACED_MODEL)["counts"]
+    manifest = json.loads((cli / "net.csv.manifest.json").read_text())["model"]
+    assert counts["edges"] == generated["edges"] == analyzed["values"]["edges"]
+    assert counts["selections"] == manifest["selections"]
+    assert counts["closure_edges"] == manifest["closure_edges"]
+    assert counts["self_draws_discarded"] == manifest["self_draws_discarded"]
+    assert counts["depth"] == manifest["tree_depth"]
 
 
 @pytest.mark.parametrize("command", ["analyze", "sweep"])
