@@ -69,14 +69,6 @@ _BOOL_WORDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on usage errors; the contract wants 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -162,8 +154,8 @@ def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
         prog="hiddentree",
         description="Generate tree-closure networks and measure their degree "
         "distributions and small-world statistics.",
@@ -239,10 +231,17 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _open_input(path: Path) -> TextIO:
+    """Open a text input (an edge list or a config file) as UTF-8. A byte
+    that is not UTF-8 reads as a lone surrogate, which the readers reject
+    as a malformed line, naming it, rather than failing to decode it."""
+    return path.open(encoding="utf-8", errors="surrogateescape")
+
+
 def _read_config(path: Path) -> dict[str, str]:
     entries: dict[str, str] = {}
     key_lines: dict[str, int] = {}
-    with path.open() as fh:
+    with _open_input(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             text = line.strip()
             if not text or text.startswith("#"):
@@ -370,6 +369,15 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _write_manifest(path: Path, command: str, outputs: Sequence[Path], **fields) -> None:
+    """Write the manifest of a ``command`` run: its ``fields``, the
+    package version and the sha256 digest of each of ``outputs``, keyed by
+    file name. It is written last, once every output is complete."""
+    digests = {output.name: _sha256(output) for output in outputs}
+    payload = {"command": command, "version": __version__, **fields, "outputs": digests}
+    _write_text(path, _json_text(payload))
+
+
 def _check_outputs(args: argparse.Namespace, *outputs: Path, check_dirs: bool = True) -> None:
     """Raise ParameterError, before anything is written, if an output path
     resolves to an input file of ``args`` or to another output. With
@@ -417,14 +425,14 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     )
     out_path = Path(args.out)
     manifest_path = Path(str(out_path) + ".manifest.json")
-    paths = [out_path, manifest_path]
+    outputs = [out_path]
     if args.tree_dump:
         dump_path = Path(args.tree_dump)
         # The manifest names its outputs by file name.
         if dump_path.name in (out_path.name, manifest_path.name):
             raise ParameterError(f"--tree-dump {dump_path} has the file name of another output")
-        paths.append(dump_path)
-    _check_outputs(args, *paths)
+        outputs.append(dump_path)
+    _check_outputs(args, *outputs, manifest_path)
     tree = build_tree(params.tree)
     graph, model = generate_with_counts(params, tree)
     # The manifest is written last: one left from an earlier run must not
@@ -432,19 +440,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     manifest_path.unlink(missing_ok=True)
     with _atomic_open(out_path) as fh:
         write_edge_list(graph, fh)
-    outputs = {out_path.name: _sha256(out_path)}
     if args.tree_dump:
         with _atomic_open(dump_path) as fh:
             write_tree_dump(tree, fh)
-        outputs[dump_path.name] = _sha256(dump_path)
-    manifest = {
-        "command": "generate",
-        "version": __version__,
-        "params": _params_echo(params),
-        "model": model,
-        "outputs": outputs,
-    }
-    _write_text(manifest_path, _json_text(manifest))
+    _write_manifest(manifest_path, "generate", outputs, params=_params_echo(params), model=model)
     return EXIT_OK
 
 
@@ -471,7 +470,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     )
     _check_outputs(args, txt_path, json_path, ccdf_path)
     options = _analysis_options(args)
-    with in_path.open() as fh:
+    with _open_input(in_path) as fh:
         graph = read_edge_list(fh)
     record, ccdf = analyze_graph(graph, **options)
     text = format_report(record)
@@ -496,23 +495,24 @@ def _run_point(
     fit_kmin: int,
     fit_kmax: Optional[int],
     path_samples,
-) -> dict:
+) -> tuple[dict, dict]:
     """Generate and analyze one sweep run, write its CCDF to ``ccdf_path``
     and, unless ``edges_path`` is None, its edge list to ``edges_path``.
-    Returns the run's report record. It is a module function of plain
-    arguments, so a worker process can run it."""
-    from .generator import generate
+    Returns the run's report record and the model counters that
+    :func:`generator.generate_with_counts` gives. It is a module function
+    of plain arguments, so a worker process can run it."""
+    from .generator import generate_with_counts
     from .graph import write_edge_list
     from .metrics import analyze_graph, write_ccdf
 
-    graph = generate(params)
+    graph, model = generate_with_counts(params)
     if edges_path:
         with _atomic_open(edges_path) as fh:
             write_edge_list(graph, fh)
     record, ccdf = analyze_graph(graph, fit_kmin, fit_kmax, path_samples)
     with _atomic_open(ccdf_path) as fh:
         write_ccdf(ccdf, fh)
-    return record
+    return record, model
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -564,12 +564,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             runs.append((value, replicate, params, out_dir / f"ccdf_{tag}.tsv", edges_path))
     _, _, all_params, ccdf_paths, edge_paths = zip(*runs)
     run_paths = [path for pair in zip(ccdf_paths, edge_paths) for path in pair if path]
+    outputs = [summary_path, *run_paths]
     # sweep makes its own directory, so the files in it get the directory
     # checks once it is made.
-    files = [manifest_path, summary_path, *run_paths]
-    _check_outputs(args, out_dir, *files, check_dirs=False)
+    _check_outputs(args, out_dir, manifest_path, *outputs, check_dirs=False)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _check_dirs(*files)
+    _check_dirs(manifest_path, *outputs)
     manifest_path.unlink(missing_ok=True)
 
     run_point = partial(_run_point, **options)
@@ -587,39 +587,28 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             results = list(pool.map(run_point, all_params, ccdf_paths, edge_paths))
 
     lines = ["\t".join(["value", "replicate", *_SUMMARY_COLUMNS])]
-    for (value, replicate, *_), record in zip(runs, results):
+    for (value, replicate, *_), (record, _) in zip(runs, results):
         fields = [format_field(record[key]) for key in _SUMMARY_COLUMNS.values()]
         lines.append("\t".join([_format_value(value), str(replicate), *fields]))
     _write_text(summary_path, "\n".join(lines) + "\n")
 
-    manifest = {
-        "command": "sweep",
-        "version": __version__,
-        "config": {
-            "kind": args.kind,
-            "values": values,
-            "replicates": args.replicates,
-            **{name: fixed[name] for name in needed},
-            "seed": args.seed,
-            "tree_seed": base_tree_seed,
-            "variant": args.variant,
-            "include_tree_edges": args.include_tree_edges,
-            "fit_kmin": args.fit_kmin,
-            "fit_kmax": "auto" if args.fit_kmax is None else args.fit_kmax,
-            "path_samples": args.path_samples,
-        },
-        "runs": [
-            {
-                "value": value,
-                "replicate": replicate,
-                "seed": params.seed,
-                "tree_seed": params.tree.seed,
-            }
-            for value, replicate, params, *_ in runs
-        ],
-        "outputs": {path.name: _sha256(path) for path in [*run_paths, summary_path]},
-    }
-    _write_text(manifest_path, _json_text(manifest))
+    _write_manifest(manifest_path, "sweep", outputs, config={
+        "kind": args.kind,
+        "values": values,
+        "replicates": args.replicates,
+        **{name: fixed[name] for name in needed},
+        "seed": args.seed,
+        "tree_seed": base_tree_seed,
+        "variant": args.variant,
+        "include_tree_edges": args.include_tree_edges,
+        "fit_kmin": args.fit_kmin,
+        "fit_kmax": "auto" if args.fit_kmax is None else args.fit_kmax,
+        "path_samples": args.path_samples,
+    }, runs=[
+        {"value": value, "replicate": replicate, "seed": params.seed,
+         "tree_seed": params.tree.seed, "model": model}
+        for (value, replicate, params, *_), (_, model) in zip(runs, results)
+    ])
     return EXIT_OK
 
 
@@ -629,7 +618,7 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
     in_path = Path(args.edge_list)
     out_path = Path(args.out) if args.out else in_path.with_suffix(".dot")
     _check_outputs(args, out_path)
-    with in_path.open() as fh:
+    with _open_input(in_path) as fh:
         projection = project_in_place(read_edge_list(fh))
     offsets, targets = projection.offsets, projection.targets
     if args.component == "giant":
@@ -663,8 +652,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args = parser.parse_args(argv[:at] + _config_tokens(args) + argv[at:])
         return args.handler(args)
     except SystemExit as exc:
-        # argparse --help/--version (0) and usage errors (1) land here.
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        # argparse exits 0 after --help and --version, 2 on a usage error.
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE
     except ParameterError as exc:
         print(f"hiddentree: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -28,6 +28,7 @@ from hiddentree import (
     compute_report,
     derive_seed,
     format_report,
+    generate_with_counts,
     generate_with_trace,
     giant_component,
     read_edge_list,
@@ -126,8 +127,9 @@ def test_generate_usage_errors(tmp_path):
 
 def bad_output_error(tmp_path, monkeypatch, capsys, argv):
     """Run ``argv`` against a generated ``net.edges`` in ``tmp_path``, with
-    the tree build and the edge-list reader failing the test if called;
-    check that it exits 2 and changes no file, and return its error line."""
+    the tree build, the generator and the edge-list reader failing the test
+    if called; check that it exits 2 and changes no file, and return its
+    error line."""
     monkeypatch.chdir(tmp_path)
     assert run_cli("generate", "--nodes", 300, "--branching", "2.0", "--activity", 0.4,
                    "--out", "net.edges") == 0
@@ -137,6 +139,7 @@ def bad_output_error(tmp_path, monkeypatch, capsys, argv):
         raise AssertionError("a stage ran before the outputs were checked")
 
     monkeypatch.setattr(hidden_tree, "build_tree", stage)
+    monkeypatch.setattr(generator, "generate_with_counts", stage)
     monkeypatch.setattr(graph_module, "read_edge_list", stage)
     before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
     assert run_cli(*argv) == 2
@@ -179,11 +182,6 @@ def test_output_that_is_a_directory_names_the_output(tmp_path, monkeypatch, caps
 def test_sweep_output_that_is_a_directory_names_the_output(tmp_path, monkeypatch, capsys,
                                                            out, jobs):
     (tmp_path / "sw" / out).mkdir(parents=True)
-
-    def generate(*args):
-        raise AssertionError("a run started before the outputs were checked")
-
-    monkeypatch.setattr(generator, "generate", generate)
     argv = ("sweep", "--kind", "activity", "--values", "0.2,0.4", "--nodes", 200,
             "--branching", "2.0", "--path-samples", 20, "--keep-edges", "--jobs", jobs,
             "--out", "sw")
@@ -460,6 +458,25 @@ def test_analyze_malformed_line_names_line_number(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_bytes_that_are_not_utf8_are_malformed_lines(tmp_path, capsys):
+    # Inputs are read as UTF-8 whatever the locale; a byte that does not
+    # decode is named on its line like any other malformed text.
+    edge_file = tmp_path / "bad.edges"
+    for data, message in [
+        (b"# nodes=3 edges=1\n0,\xff1\n", r"line 2: non-integer node id in '0,\udcff1'"),
+        (b"\xff nodes=3 edges=1\n0,1\n", "line 1: expected header"),
+    ]:
+        edge_file.write_bytes(data)
+        for command in ("analyze", "export-dot"):
+            assert run_cli(command, edge_file) == 3, (data, command)
+            assert message in capsys.readouterr().err, (data, command)
+    config = tmp_path / "bad.cfg"
+    config.write_bytes(b"nodes = 10\n\xff\n")
+    assert run_cli("generate", "--config", config) == 1
+    assert f"{config}, line 2: expected key=value" in capsys.readouterr().err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["bad.cfg", "bad.edges"]
+
+
 def test_config_file_supplies_defaults_and_flags_override(tmp_path):
     out = tmp_path / "cfg.edges"
     config = tmp_path / "run.cfg"
@@ -546,11 +563,12 @@ def test_config_file_errors(tmp_path, capsys):
 
 def test_sweep_outputs_and_manifest(tmp_path):
     tags = ["activity=0.2_rep0", "activity=0.2_rep1", "activity=0.4_rep0", "activity=0.4_rep1"]
-    for keep_edges in (False, True):
+    runs = {}
+    for keep_edges, jobs in ((False, 1), (True, 2)):
         out_dir = tmp_path / f"sweep-{keep_edges}"
         assert run_cli("sweep", "--kind", "activity", "--values", "0.2,0.4",
                        "--replicates", 2, "--nodes", 400, "--branching", "2.0",
-                       "--seed", 5, "--path-samples", 100, "--out", out_dir,
+                       "--seed", 5, "--path-samples", 100, "--jobs", jobs, "--out", out_dir,
                        *["--keep-edges"] * keep_edges) == 0
         names = sorted(path.name for path in out_dir.iterdir())
         assert names == sorted([
@@ -573,6 +591,16 @@ def test_sweep_outputs_and_manifest(tmp_path):
         for name, digest in manifest["outputs"].items():
             recomputed = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
             assert digest == f"sha256:{recomputed}"
+        # Each run records the model counters of its derived seeds, as
+        # generate_with_counts gives them, from worker processes too.
+        for run in manifest["runs"]:
+            seed = derive_seed(5, run["replicate"])
+            params = ModelParams(tree=TreeParams(400, 2.0, seed=seed), activity=run["value"],
+                                 seed=seed)
+            assert (run["seed"], run["tree_seed"]) == (seed, seed)
+            assert run["model"] == generate_with_counts(params)[1]
+        runs[jobs] = manifest["runs"]
+    assert runs[1] == runs[2]
 
 
 SWEPT_VALUES = {
@@ -840,11 +868,11 @@ def test_staged_analysis_releases_each_input(tmp_path, monkeypatch, command):
     checks = []
     handed_over = []
 
-    def keep_offsets(stage):
+    def keep_offsets(stage, graph_of=lambda result: result):
         def wrapped(*args, **kwargs):
-            graph = stage(*args, **kwargs)
-            refs["offsets"] = weakref.ref(graph.offsets)
-            return graph
+            result = stage(*args, **kwargs)
+            refs["offsets"] = weakref.ref(graph_of(result).offsets)
+            return result
         return wrapped
 
     def hand_over(stage):
@@ -874,7 +902,8 @@ def test_staged_analysis_releases_each_input(tmp_path, monkeypatch, command):
     assert run_cli("generate", "--nodes", 400, "--branching", "2.0",
                    "--activity", 0.4, "--out", edge_file) == 0
     monkeypatch.setattr(graph_module, "read_edge_list", keep_offsets(graph_module.read_edge_list))
-    monkeypatch.setattr(generator, "generate", keep_offsets(generator.generate))
+    monkeypatch.setattr(generator, "generate_with_counts",
+                        keep_offsets(generator.generate_with_counts, lambda result: result[0]))
     monkeypatch.setattr(metrics, "project_in_place", hand_over(metrics.project_in_place))
     monkeypatch.setattr(metrics, "giant_members",
                         expect_released("offsets", metrics.giant_members))
@@ -1143,11 +1172,26 @@ def test_package_exports_resolve_to_their_defining_modules():
     assert "no_such_name" not in vars(hiddentree)
 
 
-def test_module_entry_point_runs():
-    result = subprocess.run(
-        [sys.executable, "-m", "hiddentree", "--version"],
-        capture_output=True,
-        text=True,
-    )
-    assert result.returncode == 0
-    assert result.stdout.strip().startswith("hiddentree ")
+def test_module_entry_point_runs(tmp_path):
+    # The status the shell sees, one case per exit code of the README.
+    bad, missing = tmp_path / "bad.edges", tmp_path / "missing.csv"
+    bad.write_text("# nodes=3 edges=2\n0,1\n0;2\n")
+    model = ["--branching", "2.0", "--activity", "0.4", "--out", str(tmp_path / "net.csv")]
+    cases = [
+        (["--version"], 0, ""),
+        (["generate", "--nodes", "x"], 1,
+         "hiddentree generate: error: argument --nodes: invalid int value: 'x'"),
+        (["generate", "--nodes", "0", *model], 1,
+         "hiddentree: error: node_count must be >= 1, got 0"),
+        (["analyze", str(missing)], 2,
+         f"hiddentree: error: [Errno 2] No such file or directory: '{missing}'"),
+        (["analyze", str(bad)], 3, "hiddentree: error: line 3: "),
+    ]
+    for argv, code, message in cases:
+        result = subprocess.run([sys.executable, "-m", "hiddentree", *argv],
+                                capture_output=True, text=True)
+        assert result.returncode == code, argv
+        assert message in result.stderr and "Traceback" not in result.stderr, argv
+        if code == 0:
+            assert result.stdout == f"hiddentree {hiddentree.__version__}\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["bad.edges"]
