@@ -48,7 +48,6 @@ _EXPORTS = {
     "analyze_graph": "metrics",
     "avg_clustering": "metrics",
     "avg_shortest_path": "metrics",
-    "compute_report": "metrics",
     "default_fit_kmax": "metrics",
     "degree_ccdf": "metrics",
     "fit_power_law": "metrics",

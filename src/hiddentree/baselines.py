@@ -34,6 +34,8 @@ class ErParams:
             raise ParameterError(
                 f"edge_probability must be in [0, 1], got {self.edge_probability}"
             )
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -61,6 +63,8 @@ class BaParams:
                 f"need edges_per_new_node <= seed_size < node_count, "
                 f"got {self.edges_per_new_node} <= {m0} < {self.node_count}"
             )
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 def generate_er(params: ErParams) -> UndirectedGraph:

@@ -69,14 +69,18 @@ _BOOL_WORDS = {
 }
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(minimum: int, text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
     return value
+
+
+_positive_int = partial(_int_at_least, 1)
+_seed_int = partial(_int_at_least, 0)
 
 
 def _path_samples_arg(text: str):
@@ -97,9 +101,11 @@ def _fit_kmax_arg(text: str):
 
 
 def _values_arg(text: str) -> list[str]:
-    items = [piece.strip() for piece in text.split(",") if piece.strip()]
-    if not items:
-        raise argparse.ArgumentTypeError("expected a comma-separated list of values")
+    items = [piece.strip() for piece in text.split(",")]
+    if not all(items):
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated list of values with no empty item, got {text!r}"
+        )
     return items
 
 
@@ -117,9 +123,9 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--activity", type=float, help="expected destination selections per active node"
     )
-    parser.add_argument("--seed", type=int, default=0, help="selection RNG master seed")
+    parser.add_argument("--seed", type=_seed_int, default=0, help="selection RNG master seed")
     parser.add_argument(
-        "--tree-seed", type=int, default=None, help="tree construction seed (default: --seed)"
+        "--tree-seed", type=_seed_int, default=None, help="tree construction seed (default: --seed)"
     )
     parser.add_argument(
         "--variant",

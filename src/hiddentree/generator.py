@@ -85,13 +85,9 @@ class GenerationTrace:
     closure_edges_added: int
 
 
-def generate(params: ModelParams, tree: Optional[HiddenTree] = None) -> DirectedGraph:
-    """Run the generation loop and return the deduplicated directed graph.
-
-    ``tree`` is the tree ``build_tree(params.tree)`` returns, for a caller
-    that already holds it; by default it is built here.
-    """
-    return generate_with_counts(params, tree)[0]
+def generate(params: ModelParams) -> DirectedGraph:
+    """Run the generation loop and return the deduplicated directed graph."""
+    return generate_with_counts(params)[0]
 
 
 def generate_with_counts(
@@ -99,27 +95,31 @@ def generate_with_counts(
 ) -> tuple[DirectedGraph, dict[str, int]]:
     """As :func:`generate`, also returning what the model did: the
     ``selections`` made, the ``self_draws_discarded`` among them, the
-    ``closure_edges`` added and the ``tree_depth``."""
+    ``closure_edges`` added and the ``tree_depth``.
+
+    ``tree`` is the tree ``build_tree(params.tree)`` returns, for a caller
+    that already holds it; by default it is built here.
+    """
     if tree is None:
         tree = build_tree(params.tree)
     elif tree.node_count != params.tree.node_count:
         raise ParameterError(
             f"tree has {tree.node_count} nodes, params.tree asks for {params.tree.node_count}"
         )
-    graph, _, _, model = _run(params, tree, with_trace=False)
-    model["tree_depth"] = max(tree.depth)
-    return graph, model
+    return _run(params, tree)
 
 
 def generate_with_trace(params: ModelParams) -> tuple[DirectedGraph, GenerationTrace]:
     """As :func:`generate`, also returning the per-node selection trace."""
-    graph, counts, dests, model = _run(params, build_tree(params.tree), with_trace=True)
+    trace: list[tuple[int, tuple[int, ...]]] = []
+    graph, model = _run(params, build_tree(params.tree), trace)
+    counts, dests = map(list, zip(*trace))
     return graph, GenerationTrace(counts, dests, model["closure_edges"])
 
 
 def _run(
-    params: ModelParams, tree: HiddenTree, with_trace: bool
-) -> tuple[DirectedGraph, list[int], list[tuple[int, ...]], dict[str, int]]:
+    params: ModelParams, tree: HiddenTree, trace: Optional[list] = None
+) -> tuple[DirectedGraph, dict[str, int]]:
     """The generation loop, one node at a time.
 
     Node i's out-edges only grow while node i is processed, so each node
@@ -127,9 +127,10 @@ def _run(
     as it is done; a node with one kept destination and no tree edges
     appends its sorted tree path with no set. In-degrees are left for the
     graph to count if they are read.
-    Returns the graph, then the trace fields: per-node selection counts
-    and kept destinations (empty unless ``with_trace``), and the run's
-    totals of selections, discarded self-draws and closure edges added.
+    Returns the graph and the model counters :func:`generate_with_counts`
+    describes. Unless ``trace`` is None, each node's selection count and
+    kept destinations are appended to it as a ``(count, destinations)``
+    pair.
     """
     n = tree.node_count
     parent, children = tree.parent, tree.children
@@ -145,8 +146,6 @@ def _run(
     seed, tree_edges = params.seed, params.include_tree_edges
     offsets = array("q", [0])
     targets = array("i")
-    counts: list[int] = []
-    dests: list[tuple[int, ...]] = []
     total_selections = discarded = closure_added = 0
 
     for i in range(n):
@@ -188,13 +187,13 @@ def _run(
                 closure_added += len(edges_i) - before
             targets.fromlist(sorted(edges_i))
         offsets.append(len(targets))
-        if with_trace:
-            counts.append(selections)
-            dests.append(tuple(kept))
+        if trace is not None:
+            trace.append((selections, tuple(kept)))
 
     model = {
         "selections": total_selections,
         "self_draws_discarded": discarded,
         "closure_edges": closure_added,
+        "tree_depth": max(tree.depth),
     }
-    return DirectedGraph._adopt(offsets, targets), counts, dests, model
+    return DirectedGraph._adopt(offsets, targets), model

@@ -162,19 +162,13 @@ class UndirectedGraph(_Csr):
 def undirected_projection(g: DirectedGraph) -> UndirectedGraph:
     """Collapse edge directions: {i, j} present iff i->j or j->i is.
 
-    For a graph the caller keeps: :func:`project_in_place` runs on
-    :func:`_kept_copy` of it, and ``g`` is left as it is.
+    For a graph the caller keeps: :func:`project_in_place` runs on a copy
+    with new targets and ``g``'s own offsets and in-degrees, which it only
+    reads, so ``g`` is left as it is.
     """
-    return project_in_place(_kept_copy(g))
-
-
-def _kept_copy(g: DirectedGraph) -> DirectedGraph:
-    """A graph with ``g``'s edges, to hand over in place of a graph the
-    caller keeps: the targets are copied, and the offsets and in-degrees
-    shared, as :func:`project_in_place` only reads them."""
     copy = DirectedGraph._adopt(g.offsets, g.targets[:])
     copy._in_degree = g.in_degree
-    return copy
+    return project_in_place(copy)
 
 
 def project_in_place(g: DirectedGraph) -> UndirectedGraph:

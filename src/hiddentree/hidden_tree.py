@@ -32,7 +32,11 @@ _DUMP_BLOCK = 4096
 
 @dataclass(frozen=True)
 class TreeParams:
-    """Parameters for one tree construction: size, mean branching, RNG seed."""
+    """Parameters for one tree construction: size, mean branching, RNG seed.
+
+    The seed is >= 0: ``random.Random`` seeds from an int's absolute
+    value, so a negative seed would give its positive's tree.
+    """
 
     node_count: int
     branching: float
@@ -46,6 +50,8 @@ class TreeParams:
             raise ParameterError(
                 f"branching must be finite and >= 1 to span all nodes, got {self.branching}"
             )
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 class HiddenTree:
@@ -115,9 +121,8 @@ def build_tree(params: TreeParams) -> HiddenTree:
     node = 0
     while len(parent) < n:
         count = base + (1 if frac > 0 and rng.random() < frac else 0)
-        parent += [node] * count
+        parent += [node] * min(count, n - len(parent))
         node += 1
-    del parent[n:]
     return HiddenTree(parent)
 
 

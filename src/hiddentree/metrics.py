@@ -24,7 +24,7 @@ from .errors import (
     InsufficientDataError,
     ParameterError,
 )
-from .graph import DirectedGraph, UndirectedGraph, _kept_copy, giant_members, project_in_place
+from .graph import DirectedGraph, UndirectedGraph, giant_members, project_in_place
 
 __all__ = _exports(__name__)
 
@@ -414,18 +414,6 @@ def analyze_graph(
     record.update(report_to_dict(report))
     record["gamma_mle"] = gamma_mle
     return record, ccdf
-
-
-def compute_report(
-    g: DirectedGraph,
-    fit_kmin: int = 2,
-    fit_kmax: Optional[int] = None,
-    path_samples: Union[int, str] = 200,
-) -> dict:
-    """The record of :func:`analyze_graph` on a graph the caller keeps: the
-    analysis runs on a kept-graph copy, as :func:`graph.undirected_projection`
-    does, and ``g`` is left as it is."""
-    return analyze_graph(_kept_copy(g), fit_kmin, fit_kmax, path_samples)[0]
 
 
 def write_ccdf(ccdf: Ccdf, stream) -> None:

@@ -126,6 +126,11 @@ def test_parameter_validation():
         BaParams(node_count=10, edges_per_new_node=5, seed_size=3)
     with pytest.raises(ParameterError):
         BaParams(node_count=5, edges_per_new_node=2, seed_size=5)
+    # random.Random seeds from the absolute value: -3 would repeat seed 3.
+    with pytest.raises(ParameterError, match="seed must be >= 0, got -3"):
+        ErParams(node_count=5, edge_probability=0.5, seed=-3)
+    with pytest.raises(ParameterError, match="seed must be >= 0, got -3"):
+        BaParams(node_count=10, edges_per_new_node=2, seed=-3)
 
 
 @pytest.mark.parametrize("node_count", [0, 2**31])

@@ -25,7 +25,6 @@ from hiddentree import (
     TreeParams,
     analyze_graph,
     build_tree,
-    compute_report,
     derive_seed,
     format_report,
     generate_with_counts,
@@ -197,6 +196,30 @@ def test_generate_rejects_non_finite_parameters(tmp_path, capsys, flag, value):
     assert run_cli("generate", "--nodes", 50, "--branching", "2.0", "--activity", 0.4,
                    flag, value, "--out", tmp_path / "net.edges") == 1
     assert "must be finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("branching", ["1e18", "1e30"])
+def test_generate_branching_far_above_the_node_count_gives_a_star(tmp_path, branching):
+    out = tmp_path / "net.edges"
+    assert run_cli("generate", "--nodes", 10, "--branching", branching, "--activity", 0.4,
+                   "--out", out, "--tree-dump", tmp_path / "net.tree") == 0
+    assert read_manifest(tmp_path / "net.edges.manifest.json")["model"]["tree_depth"] == 1
+
+
+@pytest.mark.parametrize("command", ["generate", "sweep"])
+@pytest.mark.parametrize("flag", ["--seed", "--tree-seed"])
+def test_negative_seeds_are_rejected(tmp_path, capsys, command, flag):
+    # random.Random seeds from an int's absolute value, so -3 would repeat
+    # the run of 3 while the manifest named -3.
+    model = ["--nodes", 50, "--branching", "2.0"]
+    argv = {
+        "generate": ["generate", *model, "--activity", 0.4, "--out", tmp_path / "net.edges"],
+        "sweep": ["sweep", "--kind", "activity", "--values", "0.4", *model,
+                  "--out", tmp_path / "sweep"],
+    }[command]
+    assert run_cli(*argv, f"{flag}=-3") == 1
+    assert f"argument {flag}: must be >= 0, got -3" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -477,7 +500,7 @@ def test_bytes_that_are_not_utf8_are_malformed_lines(tmp_path, capsys):
     assert sorted(path.name for path in tmp_path.iterdir()) == ["bad.cfg", "bad.edges"]
 
 
-def test_config_file_supplies_defaults_and_flags_override(tmp_path):
+def test_config_file_supplies_defaults_and_flags_override(tmp_path, capsys):
     out = tmp_path / "cfg.edges"
     config = tmp_path / "run.cfg"
     config.write_text(
@@ -504,9 +527,14 @@ def test_config_file_supplies_defaults_and_flags_override(tmp_path):
         "nodes = 300\nbranching = 2.0\nactivity = 0.1\nseed = -3\n"
         f"include_tree_edges = no\nout = {out}\n"
     )
+    # A value starting with "-" reaches argparse as the flag's value, which
+    # a seed rejects.
+    assert run_cli("generate", "--config", config) == 1
+    assert "argument --seed: must be >= 0, got -3" in capsys.readouterr().err
+    config.write_text(config.read_text().replace("seed = -3", "seed = 3"))
     assert run_cli("generate", "--config", config) == 0
     params = read_manifest(tmp_path / "cfg.edges.manifest.json")["params"]
-    assert params["seed"] == -3
+    assert params["seed"] == 3
     assert params["include_tree_edges"] is False
 
     # The README's example config runs as it is printed there.
@@ -722,6 +750,16 @@ def test_sweep_unparsable_value_names_the_kind(tmp_path, capsys, kind, values, m
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("values", ["0.2,,0.4,", "0.2, ,0.4", ",0.2"])
+def test_sweep_rejects_an_empty_value(tmp_path, capsys, values):
+    out_dir = tmp_path / "sweep"
+    assert run_cli("sweep", "--kind", "activity", "--values", values, "--nodes", 200,
+                   "--branching", "2.0", "--out", out_dir) == 1
+    assert "argument --values: expected a comma-separated list of values with no empty item" in (
+        capsys.readouterr().err)
+    assert not out_dir.exists()
+
+
 def test_sweep_nodes_kind_uses_integer_values(tmp_path):
     out_dir = tmp_path / "nsweep"
     assert run_cli("sweep", "--kind", "nodes", "--values", "100,200",
@@ -749,7 +787,7 @@ def test_report_json_summary_row_and_compute_report_agree(tmp_path):
 
     record = json.loads((tmp_path / "net.report.json").read_text())
     with edge_file.open() as fh:
-        assert compute_report(read_edge_list(fh), path_samples=50) == record
+        assert analyze_graph(read_edge_list(fh), path_samples=50)[0] == record
     header, row = (out_dir / "summary.tsv").read_text().splitlines()
     assert dict(zip(header.split("\t"), row.split("\t"))) == {
         "value": "0.4",

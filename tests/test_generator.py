@@ -17,6 +17,7 @@ from hiddentree import (
     build_tree,
     derive_seed,
     generate,
+    generate_with_counts,
     generate_with_trace,
     write_edge_list,
 )
@@ -213,6 +214,27 @@ def test_generation_equals_a_plain_reference_loop(base, activity):
 
 
 @model_settings
+@given(model_bases(), st.floats(0.0, 3.5))
+@example(CROSSING_BASE, 1.3)
+@example(dict(CROSSING_BASE, variant=Variant.LEAF_ACTIVE), 2.0001)
+@example(dict(CROSSING_BASE, variant=Variant.LEAF_ACTIVE, include_tree_edges=True), 0.7)
+@example(dict(CROSSING_BASE, include_tree_edges=True), 0.0)
+def test_trace_and_counters_describe_the_same_run(base, activity):
+    """The traced run and the counted run give the same rows, and the
+    trace adds up to the counters: every row path (no row, one tree path,
+    kept destinations in a set, tree edges alone) is taken by some case."""
+    params = ModelParams(activity=activity, **base)
+    traced, trace = generate_with_trace(params)
+    graph, model = generate_with_counts(params)
+    assert [list(r) for r in traced.out_edges] == [list(r) for r in graph.out_edges]
+    assert sum(trace.selection_counts) == model["selections"]
+    kept = sum(map(len, trace.destinations))
+    assert model["selections"] - kept == model["self_draws_discarded"]
+    assert trace.closure_edges_added == model["closure_edges"]
+    assert model["tree_depth"] == max(build_tree(params.tree).depth)
+
+
+@model_settings
 @given(model_bases(), st.floats(0.0, 3.5), st.floats(0.0, 3.5))
 @example(CROSSING_BASE, 0.7, 1.3)
 @example(CROSSING_BASE, 1.0, 2.0)
@@ -316,7 +338,10 @@ def test_edge_list_digest_is_pinned(params, digest):
 def test_given_tree_is_used_and_checked():
     params = PINNED_EDGE_LISTS[0][0]
     tree = build_tree(params.tree)
-    given, built = generate(params, tree=tree), generate(params)
+    (given, given_model), (built, built_model) = (
+        generate_with_counts(params, tree), generate_with_counts(params)
+    )
     assert [list(r) for r in given.out_edges] == [list(r) for r in built.out_edges]
+    assert given_model == built_model
     with pytest.raises(ParameterError):
-        generate(params, tree=build_tree(TreeParams(299, 2.0, seed=11)))
+        generate_with_counts(params, build_tree(TreeParams(299, 2.0, seed=11)))

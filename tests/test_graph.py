@@ -18,7 +18,6 @@ from hiddentree import (
     TreeParams,
     UndirectedGraph,
     build_tree,
-    compute_report,
     generate,
     giant_component,
     giant_members,
@@ -138,7 +137,6 @@ def test_kept_graph_is_left_as_it_is():
     offsets, targets = graph.offsets, graph.targets
     before = offsets[:], targets[:], graph.in_degree[:]
     projection = undirected_projection(graph)
-    compute_report(graph, path_samples=20)
     rebuilt = UndirectedGraph(graph.node_count, graph.edges())
     assert graph.offsets is offsets and graph.targets is targets
     assert (offsets, targets, graph.in_degree) == before

@@ -93,6 +93,14 @@ def test_integer_branching_matches_closed_form():
         assert tree.parent[i] == (i - 1) // 3
 
 
+@pytest.mark.parametrize("branching", [9.0, 9.5, 1e18, 1e30])
+def test_branching_at_or_above_the_node_budget_gives_a_star(branching):
+    # The root takes only the 9 ids left, however many children it draws.
+    tree = build_tree(TreeParams(node_count=10, branching=branching))
+    assert list(tree.parent) == [-1] + [0] * 9
+    assert max(tree.depth) == 1
+
+
 def test_single_node_tree():
     tree = build_tree(TreeParams(node_count=1, branching=2.0))
     assert list(tree.parent) == [-1]
@@ -219,6 +227,9 @@ def test_parameter_validation():
     for branching in (math.nan, math.inf):
         with pytest.raises(ParameterError, match="finite"):
             TreeParams(node_count=5, branching=branching)
+    # random.Random seeds from the absolute value: -3 would build 3's tree.
+    with pytest.raises(ParameterError, match="seed must be >= 0, got -3"):
+        TreeParams(node_count=5, branching=2.0, seed=-3)
     with pytest.raises(ParameterError):
         HiddenTree([0, 0])
     with pytest.raises(ParameterError):
