@@ -27,8 +27,7 @@ class ErParams:
     seed: int = 0
 
     def __post_init__(self):
-        error = node_count_error(self.node_count)
-        if error:
+        if error := node_count_error(self.node_count):
             raise ParameterError(error)
         if not 0.0 <= self.edge_probability <= 1.0:
             raise ParameterError(
@@ -49,8 +48,7 @@ class BaParams:
     seed: int = 0
 
     def __post_init__(self):
-        error = node_count_error(self.node_count)
-        if error:
+        if error := node_count_error(self.node_count):
             raise ParameterError(error)
         if self.edges_per_new_node < 1:
             raise ParameterError(

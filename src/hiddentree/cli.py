@@ -69,18 +69,20 @@ _BOOL_WORDS = {
 }
 
 
-def _int_at_least(minimum: int, text: str) -> int:
+def _int_at_least(minimum: int, text: str, below: Optional[int] = None) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if value < minimum:
         raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+    if below is not None and value >= below:
+        raise argparse.ArgumentTypeError(f"must be < {below}, got {value}")
     return value
 
 
 _positive_int = partial(_int_at_least, 1)
-_seed_int = partial(_int_at_least, 0)
+_seed_int = partial(_int_at_least, 0, below=1 << 64)  # derive_seed reads 64 bits
 
 
 def _path_samples_arg(text: str):

@@ -69,6 +69,8 @@ class ModelParams:
     def __post_init__(self):
         if not 0 <= self.activity < math.inf:
             raise ParameterError(f"activity must be finite and >= 0, got {self.activity}")
+        if not 0 <= self.seed <= _MASK64:  # derive_seed reads 64 bits of it
+            raise ParameterError(f"seed must be in [0, 2**64), got {self.seed}")
 
 
 @dataclass(frozen=True)

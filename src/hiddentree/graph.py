@@ -95,14 +95,15 @@ class DirectedGraph(_Csr):
     __slots__ = ("_in_degree",)
 
     def __init__(self, node_count: int, edges: Iterable[tuple[int, int]] = ()):
-        edges = list(edges)
-        error = _edge_error(node_count, edges)
-        if error:
+        if error := node_count_error(node_count):
             raise ParameterError(error)
-        edges = sorted(set(edges))
-        out_degree = _count([src for src, _ in edges], node_count)
-        self.offsets = array("q", accumulate(out_degree, initial=0))
-        self.targets = array("i", [dst for _, dst in edges])
+        srcs, dsts = array("i"), array("i")
+        for src, dst in edges:
+            if not (0 <= src < node_count and 0 <= dst < node_count and src != dst):
+                raise ParameterError(_edge_error(node_count, src, dst))
+            srcs.append(src)
+            dsts.append(dst)
+        self.offsets, self.targets = _rows(srcs, dsts, node_count)
 
     @property
     def out_edges(self) -> Rows:
@@ -435,7 +436,7 @@ def _read_lines(lines: Iterable[str], node_count: int, edge_count: int,
                 srcs.append(src)
                 dsts.append(dst)
             else:
-                error = EdgeListFormatError(line_no, _edge_error(node_count, [(src, dst)]))
+                error = EdgeListFormatError(line_no, _edge_error(node_count, src, dst))
     edges_read = line_no - 1 - len(blank_lines)
     if edges_read != edge_count:
         raise EdgeListFormatError(1, f"header says {edge_count} edges, file has {edges_read}")
@@ -444,10 +445,8 @@ def _read_lines(lines: Iterable[str], node_count: int, edge_count: int,
     if error is not None:
         raise error
 
-    targets = array("i", [0]) * len(dsts)
-    offsets = array("q", accumulate(_count(srcs, node_count), initial=0))
-    _group_by(srcs, dsts, offsets[:], targets)
-    if _sort_rows(offsets, targets):
+    offsets, targets = _rows(srcs, dsts, node_count)
+    if len(targets) != len(dsts):
         _raise_first_repeat(srcs, dsts, blank_lines)
     return DirectedGraph._adopt(offsets, targets)
 
@@ -483,15 +482,20 @@ def _group_by(keys: Iterable[int], values: Iterable[int], fill: array, out: arra
         fill[key] = i + 1
 
 
-def _sort_rows(offsets: array, targets: array) -> bool:
-    """Sort every row in place; whether some row holds a target twice."""
-    repeated = False
-    for a, b in zip(offsets, islice(offsets, 1, None)):
-        if b - a > 1:
-            row = sorted(targets[a:b])
-            targets[a:b] = array("i", row)
-            repeated = repeated or any(map(eq, row, islice(row, 1, None)))
-    return repeated
+def _rows(srcs: array, dsts: array, node_count: int) -> tuple[array, array]:
+    """CSR ``(offsets, targets)`` of the in-range edges ``zip(srcs, dsts)``:
+    grouped by source, then each row sorted and deduplicated, in place."""
+    offsets = array("q", accumulate(_count(srcs, node_count), initial=0))
+    targets = array("i", [0]) * len(dsts)
+    _group_by(srcs, dsts, offsets[:], targets)
+    a = end = 0
+    for v, b in enumerate(islice(offsets, 1, None), 1):  # row v-1 is targets[a:b]
+        row = targets[a:b] if b - a < 2 else array("i", sorted(set(targets[a:b])))
+        targets[end:end + len(row)] = row
+        end += len(row)
+        a, offsets[v] = b, end
+    del targets[end:]
+    return offsets, targets
 
 
 def _raise_first_repeat(srcs: array, dsts: array, blank_lines: list[int]) -> None:
@@ -505,19 +509,14 @@ def _raise_first_repeat(srcs: array, dsts: array, blank_lines: list[int]) -> Non
             )
 
 
-def _edge_error(node_count: int, edges: Iterable[tuple[int, int]]) -> str:
-    """The error :class:`DirectedGraph` raises for these edges ("" if
-    none): the first edge out of range or a self-loop. A node count outside
-    [1, NODE_LIMIT) is the error whatever the edges."""
-    error = node_count_error(node_count)
-    if error:
-        return error
-    for src, dst in edges:
-        if not (0 <= src < node_count and 0 <= dst < node_count):
-            return f"edge ({src}, {dst}) references node out of range"
-        if src == dst:
-            return f"self-loop ({src}, {dst}) not allowed"
-    return ""
+def _edge_error(node_count: int, src: int, dst: int) -> str:
+    """The error for an edge that is out of range or a self-loop. Below 1
+    node every edge is out of range, and the node count is named."""
+    if node_count < 1:
+        return node_count_error(node_count)
+    if not (0 <= src < node_count and 0 <= dst < node_count):
+        return f"edge ({src}, {dst}) references node out of range"
+    return f"self-loop ({src}, {dst}) not allowed"
 
 
 def _edge_line(index: int, blank_lines: list[int]) -> int:

@@ -43,8 +43,7 @@ class TreeParams:
     seed: int = 0
 
     def __post_init__(self):
-        error = node_count_error(self.node_count)
-        if error:
+        if error := node_count_error(self.node_count):
             raise ParameterError(error)
         if not 1 <= self.branching < math.inf:
             raise ParameterError(

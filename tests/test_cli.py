@@ -223,6 +223,24 @@ def test_negative_seeds_are_rejected(tmp_path, capsys, command, flag):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["generate", "sweep"])
+@pytest.mark.parametrize("flag", ["--seed", "--tree-seed"])
+def test_seeds_of_64_bits_or_more_are_rejected(tmp_path, capsys, command, flag):
+    # derive_seed reads 64 bits of a seed, so 2**64 would select as 0 while
+    # the manifest named 2**64; the largest 64-bit seed still runs.
+    model = ["--nodes", 50, "--branching", "2.0"]
+    argv = {
+        "generate": ["generate", *model, "--activity", 0.4, "--out", tmp_path / "out"],
+        "sweep": ["sweep", "--kind", "activity", "--values", "0.4", *model,
+                  "--path-samples", 10, "--out", tmp_path / "out"],
+    }[command]
+    assert run_cli(*argv, flag, 2**64) == 1
+    assert f"argument {flag}: must be < {2**64}, got {2**64}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    assert run_cli(*argv, flag, 2**64 - 1) == 0
+    assert (tmp_path / "out").exists()
+
+
 def test_generate_tree_dump(tmp_path):
     out = tmp_path / "net.edges"
     dump = tmp_path / "net.tree"
@@ -530,6 +548,10 @@ def test_config_file_supplies_defaults_and_flags_override(tmp_path, capsys):
     # A value starting with "-" reaches argparse as the flag's value, which
     # a seed rejects.
     assert run_cli("generate", "--config", config) == 1
+    assert "argument --seed: must be >= 0, got -3" in capsys.readouterr().err
+    # Every config value is checked against its flag, even one the command
+    # line gives again.
+    assert run_cli("generate", "--config", config, "--seed", 3) == 1
     assert "argument --seed: must be >= 0, got -3" in capsys.readouterr().err
     config.write_text(config.read_text().replace("seed = -3", "seed = 3"))
     assert run_cli("generate", "--config", config) == 0

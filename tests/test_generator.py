@@ -311,6 +311,16 @@ def test_non_finite_activity_rejected():
             ModelParams(tree=TreeParams(10, 2.0), activity=activity)
 
 
+def test_seed_outside_64_bits_is_rejected():
+    # derive_seed reads 64 bits of the master seed, so a seed 2**64 apart
+    # from another, or a negative one, would select as that other seed.
+    tree = TreeParams(10, 2.0)
+    for seed in (-1, 2**64, 2**65 + 3):
+        with pytest.raises(ParameterError, match=rf"seed must be in \[0, 2\*\*64\), got {seed}"):
+            ModelParams(tree=tree, activity=0.4, seed=seed)
+    assert ModelParams(tree=tree, activity=0.4, seed=2**64 - 1).seed == 2**64 - 1
+
+
 # sha256 of write_edge_list output, recorded when every node still drew from
 # a Random object of its own. Reseeding one object must give the same streams.
 PINNED_EDGE_LISTS = [

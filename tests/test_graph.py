@@ -132,6 +132,26 @@ def test_hand_over_peak_beyond_the_graph_is_its_growth():
     assert peak - own_buffers < 4 * m + 48 * n
 
 
+def test_copying_a_graph_holds_two_columns_of_ids_beyond_the_copy():
+    # DirectedGraph(n, edges) appends each edge to two array('i') columns,
+    # 4 bytes an entry and grown by at most 1/16, so 8.5 bytes per edge;
+    # the counting sort adds one 8-byte entry per node (the count list, then
+    # the copy of the offsets it fills). Beyond the buffers it returns, the
+    # peak stays under 9 bytes per edge plus 16 per node, where a list and
+    # a set of edge tuples take over 100 per edge.
+    graph = generate(ModelParams(tree=TreeParams(20000, 2.0, seed=7), activity=0.4, seed=7))
+    m, n = graph.edge_count, graph.node_count
+    tracemalloc.start()
+    try:
+        copy = DirectedGraph(n, graph.edges())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sys.getsizeof(copy.offsets) + sys.getsizeof(copy.targets)
+    assert peak - kept < 9 * m + 16 * n
+    assert copy.offsets == graph.offsets and copy.targets == graph.targets
+
+
 def test_kept_graph_is_left_as_it_is():
     graph = generate(ModelParams(tree=TreeParams(300, 2.0, seed=5), activity=0.4, seed=5))
     offsets, targets = graph.offsets, graph.targets

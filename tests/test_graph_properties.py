@@ -2,9 +2,11 @@
 
 The reader's oracle is the straightforward line-by-line parser: strip each
 line, split it at the first comma, collect ``(src, dst)`` tuples of ASCII
-decimal ids, and let the validating :class:`DirectedGraph` constructor find
-range errors, self-loops and repeats. The fast reader must return the same graph or fail
-on the same line with the same message. Projection is checked against a
+decimal ids, then find range errors and self-loops edge by edge and group
+the rows from ``sorted(set(edges))``, with nothing of the library's own
+graph building. The fast reader must return the same graph or fail on the
+same line with the same message, and the :class:`DirectedGraph`
+constructor must build the oracle's graph or raise its error. Projection is checked against a
 set-based symmetric closure, and the giant component and its members
 against union-find. Clustering and path length over a member list must
 equal those of the relabelled giant.
@@ -13,6 +15,7 @@ equal those of the relabelled giant.
 import io
 import random
 import re
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -81,15 +84,11 @@ def oracle_read_edge_list(stream):
     if len(edges) != edge_count:
         raise EdgeListFormatError(1, f"header says {edge_count} edges, file has {len(edges)}")
     try:
-        graph = DirectedGraph(node_count, edges)
-    except ParameterError as exc:
-        line_no = 1
-        for i, (src, dst) in enumerate(edges):
-            if src == dst or not (0 <= src < node_count and 0 <= dst < node_count):
-                line_no = oracle_edge_line(i, blank_lines)
-                break
-        raise EdgeListFormatError(line_no, str(exc)) from None
-    if graph.edge_count != len(edges):
+        graph = oracle_graph(node_count, edges)
+    except OracleEdgeError as exc:
+        line_no = 1 if exc.index is None else oracle_edge_line(exc.index, blank_lines)
+        raise EdgeListFormatError(line_no, exc.message) from None
+    if sum(map(len, graph.out_edges)) != len(edges):
         first_index = {}
         for i, edge in enumerate(edges):
             first = first_index.setdefault(edge, i)
@@ -100,6 +99,39 @@ def oracle_read_edge_list(stream):
                     f"{oracle_edge_line(first, blank_lines)}",
                 )
     return graph
+
+
+class OracleEdgeError(Exception):
+    """The constructor's error: its message, and the index of the edge it
+    names, or None when it names only the node count."""
+
+    def __init__(self, index, message):
+        super().__init__(index, message)
+        self.index, self.message = index, message
+
+
+def oracle_graph(node_count, edges):
+    """The graph on ``edges`` as the constructor's contract describes it:
+    the node count is checked first, then each edge in turn for its range
+    and for a self-loop; the rows are grouped from ``sorted(set(edges))``.
+    Raises :class:`OracleEdgeError` for the first error."""
+    if node_count >= 2**31:
+        raise OracleEdgeError(None, f"node_count must be < {2**31}, got {node_count}")
+    if node_count < 1:
+        # Every edge is out of range; the reader names the first one's line.
+        index = 0 if edges else None
+        raise OracleEdgeError(index, f"node_count must be >= 1, got {node_count}")
+    for i, (src, dst) in enumerate(edges):
+        if not (0 <= src < node_count and 0 <= dst < node_count):
+            raise OracleEdgeError(i, f"edge ({src}, {dst}) references node out of range")
+        if src == dst:
+            raise OracleEdgeError(i, f"self-loop ({src}, {dst}) not allowed")
+    out_edges = [[] for _ in range(node_count)]
+    in_degree = [0] * node_count
+    for src, dst in sorted(set(edges)):
+        out_edges[src].append(dst)
+        in_degree[dst] += 1
+    return SimpleNamespace(out_edges=out_edges, in_degree=in_degree)
 
 
 def oracle_is_decimal(field):
@@ -247,6 +279,65 @@ def test_reader_matches_line_by_line_oracle(text, block_chars):
     # Small blocks put block boundaries between any two lines.
     with mock.patch.object(graph_module, "_BLOCK_CHARS", block_chars):
         assert outcome(read_edge_list, text) == expected
+
+
+@st.composite
+def constructor_inputs(draw):
+    """A node count and edges with repeated and reciprocal pairs, and now
+    and then one edge out of range or a self-loop, or a node count below 1."""
+    n = draw(st.integers(1, 12))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda e: e[0] != e[1]), max_size=3 * n))
+    if pairs and draw(st.booleans()):
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=len(pairs)))
+    if draw(st.booleans()):
+        pairs += [(v, u) for u, v in pairs[: len(pairs) // 2]]
+    pairs = draw(st.permutations(pairs))
+    bad = draw(st.sampled_from([None, None, "self_loop", "out_of_range", "no_nodes"]))
+    if bad == "self_loop":
+        k = draw(st.integers(0, n - 1))
+        pairs.insert(draw(st.integers(0, len(pairs))), (k, k))
+    elif bad == "out_of_range":
+        k = draw(st.integers(0, n - 1))
+        big = draw(st.sampled_from([-1, n, 2**31, 10**20]))
+        pairs.insert(draw(st.integers(0, len(pairs))), draw(st.sampled_from([(big, k), (k, big)])))
+    elif bad == "no_nodes":
+        n = draw(st.sampled_from([0, -1]))
+    return n, pairs
+
+
+def constructor_outcome(build, node_count, edges):
+    try:
+        graph = build(node_count, edges)
+    except ParameterError as exc:
+        return ("error", str(exc))
+    except OracleEdgeError as exc:
+        return ("error", exc.message)
+    return ("graph", [list(r) for r in graph.out_edges], graph.in_degree)
+
+
+@graph_settings
+@given(constructor_inputs())
+@example((3, []))
+@example((3, [(0, 1), (0, 1), (1, 0), (2, 1), (1, 0)]))
+@example((5, [(4, 0), (4, 3), (4, 1), (4, 3), (0, 4)]))
+@example((3, [(0, 1), (1, 3), (2, 2)]))
+@example((3, [(0, 1), (2, 2), (1, 3)]))
+@example((0, []))
+@example((0, [(0, 1)]))
+@example((-1, [(0, 1)]))
+@example((2**31, []))
+@example((2**31, [(0, 1)]))
+@example((2**31, [(2**31, 0)]))
+def test_constructor_matches_sorted_set_oracle(inputs):
+    node_count, pairs = inputs
+    expected = constructor_outcome(oracle_graph, node_count, pairs)
+    # A one-pass iterator: the constructor may read its edges only once.
+    assert constructor_outcome(DirectedGraph, node_count, iter(pairs)) == expected
+    if expected[0] == "graph":
+        graph = DirectedGraph(node_count, pairs)
+        assert list(graph.edges()) == sorted(set(pairs))
+        assert graph.edge_count == len(set(pairs))
 
 
 @st.composite
