@@ -1,6 +1,6 @@
 """Directed network generation over a latent tree hierarchy, plus the
 measurement tools (degree CCDF, power-law fit, clustering, path lengths)
-and reference generators needed to study the resulting graphs.
+needed to study the resulting graphs.
 
 Every exported name is resolved from its submodule on first use, so
 ``import hiddentree`` loads none of them and each command of the CLI loads
@@ -12,10 +12,6 @@ __version__ = "0.1.0"
 
 # exported name -> submodule that defines it
 _EXPORTS = {
-    "BaParams": "baselines",
-    "ErParams": "baselines",
-    "generate_ba": "baselines",
-    "generate_er": "baselines",
     "ConnectivityError": "errors",
     "EdgeListFormatError": "errors",
     "EmptyDistributionError": "errors",

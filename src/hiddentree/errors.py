@@ -6,7 +6,7 @@ __all__ = _exports(__name__)
 
 
 class ParameterError(ValueError):
-    """A model, tree, or baseline parameter violates its constraints."""
+    """A parameter violates its constraints."""
 
 
 class EmptyDistributionError(ValueError):

@@ -447,7 +447,7 @@ def _read_lines(lines: Iterable[str], node_count: int, edge_count: int,
 
     offsets, targets = _rows(srcs, dsts, node_count)
     if len(targets) != len(dsts):
-        _raise_first_repeat(srcs, dsts, blank_lines)
+        _raise_first_repeat(srcs, dsts, offsets, blank_lines)
     return DirectedGraph._adopt(offsets, targets)
 
 
@@ -498,9 +498,15 @@ def _rows(srcs: array, dsts: array, node_count: int) -> tuple[array, array]:
     return offsets, targets
 
 
-def _raise_first_repeat(srcs: array, dsts: array, blank_lines: list[int]) -> None:
+def _raise_first_repeat(srcs: array, dsts: array, offsets: array,
+                        blank_lines: list[int]) -> None:
+    """Raise the error for the first edge, in file order, that repeats an
+    earlier one. Every repeat lies in a row that :func:`_rows` made shorter
+    than its count of edges, so only the edges of those rows are held."""
+    shrunk = bytearray(map(lt, _row_lengths(offsets), _count(srcs, len(offsets) - 1)))
     first_index: dict[tuple[int, int], int] = {}
-    for i, edge in enumerate(zip(srcs, dsts)):
+    for i in compress(range(len(srcs)), map(shrunk.__getitem__, srcs)):
+        edge = srcs[i], dsts[i]
         first = first_index.setdefault(edge, i)
         if first != i:
             raise EdgeListFormatError(

@@ -10,11 +10,11 @@ import random
 import statistics
 from collections import deque
 
+from controls import ba_graph, er_graph
+
 from hiddentree import (
     ALL,
-    BaParams,
     Ccdf,
-    ErParams,
     InsufficientDataError,
     ModelParams,
     TreeParams,
@@ -25,8 +25,6 @@ from hiddentree import (
     degree_ccdf,
     fit_power_law,
     generate,
-    generate_ba,
-    generate_er,
     generate_with_trace,
     giant_component,
     undirected_projection,
@@ -143,7 +141,7 @@ def test_criterion_01_power_law_linearity_across_branching():
                     )
                 )
             if staircase:
-                control = generate_er(ErParams(10000, 3.2 / 10000, seed))
+                control = er_graph(10000, 3.2 / 10000, seed)
                 control_degrees = [len(nbrs) for nbrs in control.neighbors]
                 control_ccdf = degree_ccdf(control_degrees)
                 try:
@@ -331,7 +329,7 @@ def test_criterion_07_metrics_match_exhaustive_oracles():
 def test_criterion_08_pipeline_recovers_known_growth_exponent():
     # Degree-proportional growth at N=10000, m=2 through the same fit
     # pipeline gives gamma in [2.5, 3.5].
-    graph = generate_ba(BaParams(node_count=10000, edges_per_new_node=2, seed=7))
+    graph = ba_graph(10000, 2, 7)
     fit = fit_in_degrees([len(nbrs) for nbrs in graph.neighbors])
     assert 2.5 <= fit.gamma <= 3.5, f"gamma={fit.gamma}"
 
@@ -340,7 +338,7 @@ def test_criterion_09_uniform_random_graph_is_rejected_by_the_fit():
     # N=5000, p=0.002: degree variance/mean in [0.9, 1.1] (Poisson
     # signature) and the CCDF fit under the same k-range policy has
     # r^2 < 0.95.
-    graph = generate_er(ErParams(node_count=5000, edge_probability=0.002, seed=11))
+    graph = er_graph(5000, 0.002, 11)
     degrees = [len(nbrs) for nbrs in graph.neighbors]
     mean = sum(degrees) / len(degrees)
     variance = sum((d - mean) ** 2 for d in degrees) / len(degrees)

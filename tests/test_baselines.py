@@ -1,21 +1,13 @@
-"""Reference generators: Poisson-degree null case and degree-proportional growth."""
+"""The control graphs: Poisson-degree null case and degree-proportional growth."""
 
+import hashlib
 from collections import Counter
 
 import pytest
+from controls import ba_graph, er_graph
 from scipy import stats
 
-from hiddentree import (
-    BaParams,
-    ErParams,
-    ParameterError,
-    default_fit_kmax,
-    degree_ccdf,
-    fit_power_law,
-    generate_ba,
-    generate_er,
-    giant_members,
-)
+from hiddentree import default_fit_kmax, degree_ccdf, fit_power_law, giant_members
 
 
 def degrees_of(graph):
@@ -23,22 +15,22 @@ def degrees_of(graph):
 
 
 def test_er_edge_probability_extremes():
-    assert generate_er(ErParams(node_count=30, edge_probability=0.0, seed=1)).edge_count == 0
-    complete = generate_er(ErParams(node_count=30, edge_probability=1.0, seed=1))
+    assert er_graph(30, 0.0, 1).edge_count == 0
+    complete = er_graph(30, 1.0, 1)
     assert complete.edge_count == 30 * 29 // 2
     assert all(len(nbrs) == 29 for nbrs in complete.neighbors)
 
 
 def test_er_determinism_and_seed_sensitivity():
-    a = generate_er(ErParams(node_count=200, edge_probability=0.05, seed=3))
-    b = generate_er(ErParams(node_count=200, edge_probability=0.05, seed=3))
-    c = generate_er(ErParams(node_count=200, edge_probability=0.05, seed=4))
+    a = er_graph(200, 0.05, 3)
+    b = er_graph(200, 0.05, 3)
+    c = er_graph(200, 0.05, 4)
     assert [list(r) for r in a.neighbors] == [list(r) for r in b.neighbors]
     assert [list(r) for r in a.neighbors] != [list(r) for r in c.neighbors]
 
 
 def test_er_degree_variance_matches_mean():
-    graph = generate_er(ErParams(node_count=5000, edge_probability=0.002, seed=11))
+    graph = er_graph(5000, 0.002, 11)
     degrees = degrees_of(graph)
     mean = sum(degrees) / len(degrees)
     variance = sum((d - mean) ** 2 for d in degrees) / len(degrees)
@@ -48,7 +40,7 @@ def test_er_degree_variance_matches_mean():
 def test_er_degrees_pass_binomial_goodness_of_fit():
     n = 5000
     p = 0.002
-    graph = generate_er(ErParams(node_count=n, edge_probability=p, seed=11))
+    graph = er_graph(n, p, 11)
     counts = Counter(degrees_of(graph))
     model = stats.binom(n - 1, p)
     k_top = max(counts)
@@ -72,71 +64,68 @@ def test_er_degrees_pass_binomial_goodness_of_fit():
 
 
 def test_ba_final_node_connects_to_every_seed():
-    graph = generate_ba(BaParams(node_count=5, edges_per_new_node=4, seed_size=4, seed=2))
+    graph = ba_graph(5, 4, 2)
     assert sorted(graph.neighbors[4]) == [0, 1, 2, 3]
 
 
 def test_ba_edge_count_formula():
-    params = BaParams(node_count=200, edges_per_new_node=3, seed_size=5, seed=6)
-    graph = generate_ba(params)
+    graph = ba_graph(200, 3, 6, seed_size=5)
     assert graph.edge_count == 5 * 4 // 2 + (200 - 5) * 3
 
 
 def test_ba_defaults_seed_size_to_attachment_count():
-    params = BaParams(node_count=50, edges_per_new_node=2, seed=1)
-    assert params.seed_size == 2
-    graph = generate_ba(params)
+    graph = ba_graph(50, 2, 1)
     assert graph.edge_count == 1 + 48 * 2
+    same = ba_graph(50, 2, 1, seed_size=2)
+    assert [list(r) for r in same.neighbors] == [list(r) for r in graph.neighbors]
 
 
 def test_ba_single_node_seed_starts_from_an_empty_urn():
     # With one edge per arrival the seed is one node and no edge, so the
     # first arrival has no endpoint to draw from: the result is a tree.
-    params = BaParams(node_count=50, edges_per_new_node=1, seed=3)
-    graph = generate_ba(params)
+    graph = ba_graph(50, 1, 3)
     assert graph.edge_count == 49
     assert len(giant_members(graph)) == 50
-    again = generate_ba(params)
+    again = ba_graph(50, 1, 3)
     assert [list(r) for r in again.neighbors] == [list(r) for r in graph.neighbors]
 
 
 def test_ba_determinism():
-    a = generate_ba(BaParams(node_count=300, edges_per_new_node=2, seed=9))
-    b = generate_ba(BaParams(node_count=300, edges_per_new_node=2, seed=9))
+    a = ba_graph(300, 2, 9)
+    b = ba_graph(300, 2, 9)
     assert [list(r) for r in a.neighbors] == [list(r) for r in b.neighbors]
 
 
 def test_ba_degree_distribution_fits_known_exponent():
-    graph = generate_ba(BaParams(node_count=10000, edges_per_new_node=2, seed=7))
+    graph = ba_graph(10000, 2, 7)
     ccdf = degree_ccdf(degrees_of(graph))
     fit = fit_power_law(ccdf, 2, default_fit_kmax(ccdf))
     assert -2.3 <= fit.ccdf_slope <= -1.7
 
 
-def test_parameter_validation():
-    with pytest.raises(ParameterError):
-        ErParams(node_count=0, edge_probability=0.5)
-    with pytest.raises(ParameterError):
-        ErParams(node_count=5, edge_probability=1.5)
-    with pytest.raises(ParameterError):
-        ErParams(node_count=5, edge_probability=-0.1)
-    with pytest.raises(ParameterError):
-        BaParams(node_count=10, edges_per_new_node=0)
-    with pytest.raises(ParameterError):
-        BaParams(node_count=10, edges_per_new_node=5, seed_size=3)
-    with pytest.raises(ParameterError):
-        BaParams(node_count=5, edges_per_new_node=2, seed_size=5)
-    # random.Random seeds from the absolute value: -3 would repeat seed 3.
-    with pytest.raises(ParameterError, match="seed must be >= 0, got -3"):
-        ErParams(node_count=5, edge_probability=0.5, seed=-3)
-    with pytest.raises(ParameterError, match="seed must be >= 0, got -3"):
-        BaParams(node_count=10, edges_per_new_node=2, seed=-3)
+def edge_digest(graph):
+    """SHA-256 of the graph's ``u,v`` lines, u < v, in ascending order."""
+    return hashlib.sha256(
+        "".join(f"{u},{v}\n" for u, v in graph.edges()).encode()
+    ).hexdigest()
 
 
-@pytest.mark.parametrize("node_count", [0, 2**31])
-def test_node_counts_that_ids_cannot_hold_are_rejected_at_construction(node_count):
-    # Only the parameter objects are built: no generator runs.
-    with pytest.raises(ParameterError, match="node_count must be"):
-        ErParams(node_count=node_count, edge_probability=0.5)
-    with pytest.raises(ParameterError, match="node_count must be"):
-        BaParams(node_count=node_count, edges_per_new_node=2)
+# The controls that criteria 01, 08 and 09 gate against, pinned by edge
+# count and digest so the graphs those criteria see cannot drift.
+@pytest.mark.parametrize("build, edge_count, digest", [
+    (lambda: er_graph(10000, 3.2 / 10000, 0), 16036,
+     "8470a99aa9b124548e2809a6532a9fa8f9771c303de24b201e5163824ef2927c"),
+    (lambda: er_graph(10000, 3.2 / 10000, 1), 16059,
+     "cb3881d77bc8b305fec7ba9727786d10f7257b562ee539aed6dc5ed665b28c30"),
+    (lambda: er_graph(10000, 3.2 / 10000, 2), 16055,
+     "ff55caf03c65eb3ebefb28cd7a3bec93e8c714352765e3487c9af39b3ece2d6a"),
+    (lambda: er_graph(5000, 0.002, 11), 25171,
+     "3829308a6a5ff1d05b59995e433de3a3f8e3f1a18032a3cc94e3453c6a3a1a0e"),
+    (lambda: ba_graph(10000, 2, 7), 19997,
+     "fc889add937ddca6909ec2400900ebfe69796720c08e346827ca77c128d65e8f"),
+], ids=["er-criterion01-seed0", "er-criterion01-seed1", "er-criterion01-seed2",
+        "er-criterion09", "ba-criterion08"])
+def test_control_graphs_are_pinned(build, edge_count, digest):
+    graph = build()
+    assert graph.edge_count == edge_count
+    assert edge_digest(graph) == digest

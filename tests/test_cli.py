@@ -1102,7 +1102,7 @@ def test_leaf_variant_via_cli(tmp_path):
 
 
 SRC = Path(hiddentree.__file__).resolve().parents[1]
-SUBMODULES = ("baselines", "errors", "generator", "graph", "hidden_tree", "metrics", "cli")
+SUBMODULES = ("errors", "generator", "graph", "hidden_tree", "metrics", "cli")
 
 
 def modules_loaded_by_import():
@@ -1186,11 +1186,18 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
           "--branching", "2.0", "--path-samples", 10, "--out", tmp_path / "sweep"],
          {"generator", "hidden_tree", "graph", "metrics"}),
     ]
+    reached = set()
     for argv, modules in commands:
         _, after = modules_loaded_by_command(*argv)
         loaded = {name for name in after if name.partition(".")[0] == "hiddentree"}
         expected = {"hiddentree", "hiddentree.cli", "hiddentree.errors"}
         assert loaded == expected | {f"hiddentree.{name}" for name in modules}, argv
+        reached |= {name.partition(".")[2] for name in loaded} - {""}
+    # No package module is left that no command runs: the commands reach
+    # every module the export table names, and the CLI, and nothing else.
+    assert reached - {"cli"} == set(hiddentree._EXPORTS.values())
+    on_disk = {info.name for info in pkgutil.iter_modules(hiddentree.__path__)}
+    assert on_disk == reached | {"__main__"}
 
 
 def test_package_exports_resolve_to_their_defining_modules():

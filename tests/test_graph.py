@@ -343,6 +343,42 @@ def test_read_rejects_repeated_edge_on_its_own_line():
     assert read_edge_list(io.StringIO("# nodes=2 edges=2\n0,1\n1,0\n")).edge_count == 2
 
 
+def test_naming_a_repeat_holds_only_the_rows_it_lies_in(tmp_path):
+    # A shuffled file is read line by line into two array('i') columns of
+    # ids, 8.5 bytes per edge with their growth. Beyond them the reader
+    # holds the CSR rows it built (4 bytes per edge, 8.5 per node), then
+    # either the row builder's count list and offset copy (16 per node) or
+    # the repeat lookup's count list and row marks (9 per node) and the
+    # pairs of the one row that lost an entry. The first block is also
+    # parsed whole before its order fails, which is under 1 MiB. So the
+    # peak stays under 12.5 bytes per edge plus 32 per node plus 1 MiB,
+    # where a pair for every edge read takes over 100 bytes per edge.
+    graph = generate(ModelParams(tree=TreeParams(20000, 2.0, seed=7), activity=0.4, seed=7))
+    m, n = graph.edge_count, graph.node_count
+    buffer = io.StringIO()
+    write_edge_list(graph, buffer)
+    header, *lines = buffer.getvalue().splitlines(keepends=True)
+    random.Random(7).shuffle(lines)
+    lines.append(lines[0])
+    header = header.replace(f"edges={m}", f"edges={m + 1}")
+    path = tmp_path / "net.csv"
+    path.write_text(header + "".join(lines))
+    del buffer, lines
+    with path.open() as stream:
+        tracemalloc.start()
+        try:
+            with pytest.raises(EdgeListFormatError) as excinfo:
+                read_edge_list(stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    src, dst = map(int, path.read_text().splitlines()[1].split(","))
+    assert str(excinfo.value) == (
+        f"line {m + 2}: duplicate edge ({src}, {dst}), first on line 2"
+    )
+    assert peak < 12.5 * m + 32 * n + 2**20
+
+
 def test_read_rejects_header_junk():
     for header in (
         "# nodes=3 edges=1 garbage",

@@ -271,6 +271,10 @@ def edge_list_texts(draw):
 @example("# nodes=9 edges=3\n05,1\n5,2\n5,4\n", 16)
 @example("# nodes=9 edges=2\n05,1\n5,1\n", 7)
 @example("# nodes=9 edges=2\n05,1\n5,1\n", 16)
+# Repeats in two rows, the higher row's first in the file: the first in
+# file order is named, not the first by row.
+@example("# nodes=4 edges=5\n0,1\n2,3\n1,0\n2,3\n0,1\n", 7)
+@example("# nodes=4 edges=5\n0,1\n2,3\n1,0\n2,3\n0,1\n", 1 << 16)
 # A self-loop inside a long run of ascending destinations.
 @example("# nodes=9 edges=8\n3,8\n4,0\n4,1\n4,2\n4,3\n4,4\n4,5\n4,6\n", 7)
 @example("# nodes=9 edges=8\n3,8\n4,0\n4,1\n4,2\n4,3\n4,4\n4,5\n4,6\n", 16)
