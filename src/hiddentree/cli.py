@@ -49,6 +49,10 @@ EXIT_ANALYSIS = 3
 
 _SWEEP_KINDS = ("nodes", "branching", "activity")
 
+# Edge lines per % format of export-dot: a slice's text, tuple and int
+# objects are all a long row holds at a time.
+_DOT_SLICE = 4096
+
 # summary.tsv column after value and replicate -> report record key
 _SUMMARY_COLUMNS = {
     "gamma": "gamma",
@@ -448,9 +452,13 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     manifest_path.unlink(missing_ok=True)
     with _atomic_open(out_path) as fh:
         write_edge_list(graph, fh)
+    # Both are freed before the digests are taken: hashing loads OpenSSL,
+    # which would otherwise add to their peak.
+    del graph
     if args.tree_dump:
         with _atomic_open(dump_path) as fh:
             write_tree_dump(tree, fh)
+    del tree
     _write_manifest(manifest_path, "generate", outputs, params=_params_echo(params), model=model)
     return EXIT_OK
 
@@ -637,13 +645,13 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
         fh.write("graph g {\n")
         fh.writelines(f"  {node};\n" for node in members)
         # A component is closed under adjacency, so a member's higher
-        # neighbours are exactly its edges to later members; each member's
-        # lines are one % format.
+        # neighbours are exactly its edges to later members; each slice of
+        # a member's lines is one % format.
         for u in members:
             end = offsets[u + 1]
-            start = bisect_right(targets, u, offsets[u], end)
-            if start < end:
-                fh.write((f"  {u} -- %d;\n" * (end - start)) % tuple(targets[start:end]))
+            for a in range(bisect_right(targets, u, offsets[u], end), end, _DOT_SLICE):
+                b = min(a + _DOT_SLICE, end)
+                fh.write((f"  {u} -- %d;\n" * (b - a)) % tuple(targets[a:b]))
         fh.write("}\n")
     return EXIT_OK
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from itertools import accumulate, chain, compress, islice, repeat
+from itertools import accumulate, chain, compress, islice, repeat, tee
 from operator import add, eq, ge, lt, ne, sub
 from typing import Iterable, Iterator, TextIO
 
@@ -180,8 +180,8 @@ def project_in_place(g: DirectedGraph) -> UndirectedGraph:
     A node's row is its out-row merged with its in-row, the edge sources
     grouped by target. A DirectedGraph is already valid, so nothing is
     checked again. The target buffer grows once to 2m entries (m directed
-    edges), and row v's out-row and in-row then sit side by side from
-    offsets[v] + in_offsets[v]:
+    edges), and row v's out-row and in-row then sit side by side from the
+    sum of the out- and in-degrees below v:
 
     1. the out-rows move right, last row first: a row's new start is at or
        after its old one, and the rows above it have moved already;
@@ -190,42 +190,55 @@ def project_in_place(g: DirectedGraph) -> UndirectedGraph:
        out-row slots are read while only in-row slots are written;
     3. each row is merged and moved left; a merged row is no longer than
        its two parts, so it never reaches the next row's unread slots.
+
+    Beside the doubled buffer it holds 16 bytes per node: the out- and
+    in-degrees, ``array('i')`` each, and the fill cursor, ``array('q')``,
+    which becomes the projection's offsets. The directed offsets are
+    dropped before the buffer doubles, and each row's old and new start
+    is a running sum of the degrees, never read from the cursor. The
+    in-degrees are dropped before step 3, which holds one row's sorted
+    entries at a time.
     """
     offsets, targets, in_degree = g.offsets, g.targets, g.in_degree
     g.offsets, g.targets, g._in_degree = array("q", [0]), array("i"), []
-    n = len(offsets) - 1
-    starts = array("q", map(add, offsets, accumulate(in_degree, initial=0)))
-    fill = array("q", map(add, islice(offsets, 1, None), accumulate(in_degree, initial=0)))
-    # Dropped before the buffer doubles: a handed-over graph's in-degrees
-    # are then freed, so the two never peak together.
-    del in_degree
+    # Node counts are below 2**31, so every degree fits in 4 bytes. A
+    # handed-over graph's in-degree list and offsets are freed here, before
+    # the buffer doubles, so neither peaks with it.
+    in_degree = array("i", in_degree)
+    out_degree = array("i", _row_lengths(offsets))
+    del offsets
+    n, m = len(out_degree), len(targets)
+    # fill[v] starts where row v's in-row slots begin, after its out-row.
+    fill = array("q", map(add, accumulate(map(add, out_degree, in_degree), initial=0), out_degree))
     # One realloc: growing it in steps would copy it and leave the old
     # copies behind.
     targets *= 2
     with memoryview(targets) as buf:
-        for s, b, a in zip(
-            islice(reversed(starts), 1, None), reversed(offsets), islice(reversed(offsets), 1, None)
-        ):
+        # Old row v is [a, b) and its new start is s: descending sums.
+        a, s = m, 2 * m
+        for d_out, d_in in zip(reversed(out_degree), reversed(in_degree)):
+            b = a
+            a -= d_out
+            s -= d_out + d_in
             if s == a:
                 break  # no in-edge lies below this row, so none below an earlier one
-            if a != b:  # most out-rows of a generated graph are empty
-                buf[s:s + b - a] = buf[a:b]
-        out_rows = map(slice, starts, map(add, starts, _row_lengths(offsets)))
-        sources = chain.from_iterable(map(repeat, range(n), _row_lengths(offsets)))
+            if d_out:  # most out-rows of a generated graph are empty
+                buf[s:s + d_out] = buf[a:b]
+        # Out-row v is [s, s + d_out) with s the ascending sums; the two
+        # copies of the sums advance together, so tee buffers one at most.
+        starts, row_starts = tee(accumulate(map(add, out_degree, in_degree), initial=0))
+        out_rows = map(slice, starts, map(add, row_starts, out_degree))
+        sources = chain.from_iterable(map(repeat, range(n), out_degree))
         _group_by(chain.from_iterable(map(buf.__getitem__, out_rows)), sources, fill, targets)
-        del starts, out_rows, sources
+        del in_degree, starts, row_starts, out_rows, sources
         # fill[v] is now the end of row v's slots, where row v+1's begin.
         # Once read, it is overwritten with the end of merged row v, so fill
-        # becomes the projection's offsets and no third per-node array grows.
+        # becomes the projection's offsets and no further per-node array grows.
         s = end = 0
-        for v, (out_degree, e) in enumerate(zip(_row_lengths(offsets), fill)):
+        for v, (d_out, e) in enumerate(zip(out_degree, fill)):
             # A row with one part, or whose out-part ends below its in-part,
             # is already sorted and free of repeats.
-            if (
-                out_degree == 0
-                or s + out_degree == e
-                or buf[s + out_degree - 1] < buf[s + out_degree]
-            ):
+            if d_out == 0 or s + d_out == e or buf[s + d_out - 1] < buf[s + d_out]:
                 if s != end:
                     buf[end:end + e - s] = buf[s:e]
                 end += e - s

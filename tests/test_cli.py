@@ -35,6 +35,7 @@ from hiddentree import (
     write_edge_list,
 )
 from hiddentree import generator, hidden_tree, metrics
+from hiddentree import cli as cli_module
 from hiddentree import graph as graph_module
 from hiddentree.cli import main
 from hiddentree.metrics import format_field
@@ -989,6 +990,41 @@ def test_staged_analysis_releases_each_input(tmp_path, monkeypatch, command):
     assert refs["projection"]() is None
 
 
+def test_generate_frees_the_graph_and_tree_before_hashing(tmp_path, monkeypatch):
+    # The graph is dead once the edge list is written, and the tree once it
+    # is dumped. Both must be freed before the first digest, which loads
+    # OpenSSL on top of whatever is still live.
+    refs = {}
+    freed = []
+
+    def keep(name, stage, buffer_of):
+        def wrapped(*args, **kwargs):
+            result = stage(*args, **kwargs)
+            refs[name] = weakref.ref(buffer_of(result))
+            return result
+        return wrapped
+
+    def checked(digest):
+        def wrapped(path):
+            freed.append((path.name, {name: ref() is None for name, ref in refs.items()}))
+            return digest(path)
+        return wrapped
+
+    monkeypatch.setattr(hidden_tree, "build_tree",
+                        keep("parent", hidden_tree.build_tree, lambda tree: tree.parent))
+    monkeypatch.setattr(generator, "generate_with_counts",
+                        keep("targets", generator.generate_with_counts,
+                             lambda result: result[0].targets))
+    monkeypatch.setattr(cli_module, "_sha256", checked(cli_module._sha256))
+    out, dump = tmp_path / "net.edges", tmp_path / "net.tree"
+    assert run_cli("generate", "--nodes", 400, "--branching", "2.0", "--activity", 0.4,
+                   "--out", out, "--tree-dump", dump) == 0
+    assert freed == [(name, {"parent": True, "targets": True}) for name in (out.name, dump.name)]
+    outputs = read_manifest(tmp_path / "net.edges.manifest.json")["outputs"]
+    assert outputs == {path.name: "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
+                       for path in (out, dump)}
+
+
 def test_sweep_usage_errors(tmp_path):
     out_dir = tmp_path / "bad"
     common = ("--nodes", 100, "--branching", "2.0", "--out", out_dir)
@@ -1052,11 +1088,21 @@ def random_graph(seed):
     return DirectedGraph(n, [(u, v) for u, v in pairs if u != v])
 
 
-def hub_graph():
-    """Node 17 of 50 adjacent to all others, by out-edges to the even ids
+def hub_graph(n=50):
+    """Node 17 of n adjacent to all others, by out-edges to the even ids
     and in-edges from the odd ones, plus a few edges among the others."""
-    edges = [(17, v) if v % 2 == 0 else (v, 17) for v in range(50) if v != 17]
-    return DirectedGraph(50, edges + [(3, 40), (40, 3), (49, 0), (8, 9)])
+    edges = [(17, v) if v % 2 == 0 else (v, 17) for v in range(n) if v != 17]
+    return DirectedGraph(n, edges + [(3, 40), (40, 3), (49, 0), (8, 9)])
+
+
+def dot_test_graph(seed):
+    """A random graph; the hub graph; or, for "long_hub", one whose hub
+    row spans more than two slices of export-dot's edge lines."""
+    if seed == "hub":
+        return hub_graph()
+    if seed == "long_hub":
+        return hub_graph(2 * cli_module._DOT_SLICE + 50)
+    return random_graph(seed)
 
 
 def export_dot(tmp_path, graph, component):
@@ -1067,15 +1113,15 @@ def export_dot(tmp_path, graph, component):
     return (tmp_path / "net.dot").read_text()
 
 
-@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("seed", [*range(20), "long_hub"])
 def test_export_dot_giant_equals_giant_component(tmp_path, seed):
-    graph = random_graph(seed)
+    graph = dot_test_graph(seed)
     assert export_dot(tmp_path, graph, "giant") == dot_from_giant_component(graph)
 
 
-@pytest.mark.parametrize("seed", [*range(20), "hub"])
+@pytest.mark.parametrize("seed", [*range(20), "hub", "long_hub"])
 def test_export_dot_full_equals_the_projection(tmp_path, seed):
-    graph = hub_graph() if seed == "hub" else random_graph(seed)
+    graph = dot_test_graph(seed)
     assert export_dot(tmp_path, graph, "full") == dot_from_projection(graph)
 
 
