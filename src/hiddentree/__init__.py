@@ -2,9 +2,13 @@
 measurement tools (degree CCDF, power-law fit, clustering, path lengths)
 needed to study the resulting graphs.
 
-Every exported name is resolved from its submodule on first use, so
-``import hiddentree`` loads none of them and each command of the CLI loads
-only the modules it runs."""
+Every exported name is resolved from its submodule on first use and then
+kept on the package, so ``import hiddentree`` loads none of them. Each
+command of the CLI loads only the modules it runs, when it runs
+them: ``--version`` loads ``cli`` and ``errors``, ``export-dot`` adds
+``graph``, ``analyze`` adds ``graph`` and ``metrics``, ``generate`` adds
+``generator``, ``hidden_tree`` and ``graph``, and ``sweep`` adds all four;
+between them the commands load every module of the package."""
 
 import importlib
 

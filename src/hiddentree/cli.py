@@ -637,6 +637,9 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
     with _open_input(in_path) as fh:
         projection = project_in_place(read_edge_list(fh))
     offsets, targets = projection.offsets, projection.targets
+    # Only the member ids are taken (no int object per member), and the
+    # lines are written straight from the projection's buffers: the
+    # relabelled giant that giant_component builds is never made.
     if args.component == "giant":
         members = giant_members(projection)
     else:

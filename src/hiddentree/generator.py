@@ -169,6 +169,8 @@ def _run(
         # Most nodes keep no destination, and then need no set; one kept
         # destination and no tree edges make the row one tree path, whose
         # nodes are distinct. Its two parts descend, and sorting merges them.
+        # Below activity 1 a node keeps at most one destination, so without
+        # tree edges no node builds a set.
         if len(kept) == 1 and not tree_edges:
             up, down = climb(tree, i, kept[0])
             row = up[1:] + down

@@ -27,7 +27,8 @@ NODE_LIMIT = 1 << 31
 
 # Characters of edge-list text parsed per block by read_edge_list. A
 # block's line strings and freshly parsed ints are the reader's transient
-# peak, so blocks are kept small; the per-block work is a few slices.
+# peak, so blocks are kept small (under 1 MB beyond the graph's buffers,
+# whatever the file's length); the per-block work is a few slices.
 _BLOCK_CHARS = 1 << 14
 
 
@@ -370,11 +371,13 @@ def _parse_block(
 ) -> tuple[list[int], list[int], list[int]]:
     """Parse ``src,dst`` lines, each but the last ending in "\\n", in the
     form :func:`write_edge_list` writes: the values of the source runs
-    (lines with the same source text in a row), the index of each run's
-    first line, and the destinations. Raises ValueError unless every line
-    has exactly one comma and ids in ASCII decimal in [0, node_count), the
-    run values strictly ascend, each run's destinations strictly ascend
-    and never equal its source, and the first edge is above ``last``.
+    (lines with the same source text in a row, found by comparing each
+    source field with the next, so each run's id is parsed once), the
+    index of each run's first line, and the destinations. Raises
+    ValueError unless every line has exactly one comma and ids in ASCII
+    decimal in [0, node_count), the run values strictly ascend, each run's
+    destinations strictly ascend and never equal its source, and the
+    first edge is above ``last``.
 
     2L fields for L lines means L commas in the lines. A line's "\\n" is
     in a source field when the commas before it, the joining ones
@@ -421,7 +424,16 @@ def _read_lines(lines: Iterable[str], node_count: int, edge_count: int,
                 offsets: array, dsts: array) -> DirectedGraph:
     """Finish :func:`read_edge_list` line by line, in any order, from
     ``lines``, which follow the ``len(dsts)`` edges already read; the
-    sources of those are given by ``offsets`` up to the last one."""
+    sources of those are given by ``offsets`` up to the last one, and are
+    rebuilt from it once.
+
+    Blank lines are skipped and fields stripped. A malformed line raises
+    at once; the first out-of-range edge or self-loop is held until the
+    edge count is checked, and a wrong count wins over it. The rows are
+    then built by :func:`_rows`, and a repeated edge named from them. Per
+    edge this takes about three times the block path's time: 0.22 s
+    against 0.08 s for 177k edges on a 2-vCPU VM.
+    """
     offsets.append(len(dsts))
     srcs = array("i", chain.from_iterable(map(repeat, range(len(offsets)), _row_lengths(offsets))))
     blank_lines: list[int] = []

@@ -58,7 +58,10 @@ class HiddenTree:
 
     ``parent[0]`` is -1; ``depth[0]`` is 0. Node u's children are ids
     ``first[u]`` to ``first[u+1] - 1``. The parent ids are copied in, so the
-    tree does not follow later changes to the caller's sequence. Safe for
+    tree does not follow later changes to the caller's sequence; a parent
+    entry that is not an int or does not fit in an ``array('i')`` raises
+    :class:`ParameterError`. The three columns are ``array('i')``, which
+    never equals a list: compare ``list(tree.parent)``. Safe for
     concurrent read-only use once constructed.
     """
 
@@ -98,10 +101,6 @@ class HiddenTree:
         """Nodes with no children, in ascending id order."""
         return [i for i in range(self.node_count) if not self.children(i)]
 
-    def _check_node(self, u: int) -> None:
-        if not 0 <= u < self.node_count:
-            raise IndexError(f"node id {u} out of range [0, {self.node_count})")
-
 
 def build_tree(params: TreeParams) -> HiddenTree:
     """Build the tree for ``params``.
@@ -126,9 +125,12 @@ def build_tree(params: TreeParams) -> HiddenTree:
 
 
 def lca(tree: HiddenTree, u: int, v: int) -> int:
-    """Deepest common ancestor of u and v."""
-    tree._check_node(u)
-    tree._check_node(v)
+    """Deepest common ancestor of u and v; an id outside [0, N) raises
+    IndexError. ``perfbench/traced.py``'s model probe counts each kept
+    draw's tree-path length with it."""
+    for node in (u, v):
+        if not 0 <= node < tree.node_count:
+            raise IndexError(f"node id {node} out of range [0, {tree.node_count})")
     up, _ = climb(tree, u, v)
     return up[-1]
 

@@ -251,8 +251,19 @@ def _distance_sum(g: UndirectedGraph, sources: list[int], members: Sequence[int]
     edge ends reach 1/8 of the graph's, each member not yet seen by every
     source pulls the OR of its neighbours' ``seen`` bits, less its own,
     and leaves the pull list once it has them all. A pull level applies
-    its gains only after all of its reads. Raises
-    :class:`ConnectivityError` if some source does not reach every member.
+    its gains only after all of its reads, so at level L+1 a bit that a
+    neighbour holds is a source at most L steps from it, and one the
+    member lacks is exactly L+1 away. The pull keeps no per-node list
+    besides the bitsets.
+
+    In a small-world graph the frontier covers most of the component
+    after two or three levels, so pulling reads each unfinished member's
+    row once per level, where pushing would read every frontier row. The
+    cost is O(levels * m) big-int operations per call, and the memory one
+    bitset of up to 256 bits per node. On long chains, where frontiers
+    never overlap and the BFS only pushes, it is about twice as slow as
+    one BFS per source. Raises :class:`ConnectivityError` if some source
+    does not reach every member.
     """
     n = len(members)
     offsets, targets = g.offsets, memoryview(g.targets)
@@ -340,7 +351,12 @@ def avg_shortest_path(
     if sample_sources == ALL:
         sources = list(members)
     else:
-        if not isinstance(sample_sources, int) or sample_sources < 1:
+        # A bool is an int, but True is no sample count.
+        if (
+            not isinstance(sample_sources, int)
+            or isinstance(sample_sources, bool)
+            or sample_sources < 1
+        ):
             raise ParameterError("sample_sources must be ALL or a positive int")
         if sample_sources >= n:
             sources = list(members)

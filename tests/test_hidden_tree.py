@@ -135,6 +135,15 @@ def test_lca_on_complete_binary_tree():
         assert lca(tree, u, u) == u
 
 
+def test_lca_rejects_ids_out_of_range():
+    # Unchecked, -1 would climb to the root's parent and be returned.
+    tree = build_tree(TreeParams(node_count=7, branching=2.0))
+    for u, v in [(-1, 0), (0, -1), (7, 0), (0, 7)]:
+        bad = u if u not in range(7) else v
+        with pytest.raises(IndexError, match=rf"node id {bad} out of range \[0, 7\)"):
+            lca(tree, u, v)
+
+
 def test_lca_matches_ancestor_set_intersection():
     rng = random.Random(2024)
     for _ in range(10):

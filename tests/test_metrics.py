@@ -189,6 +189,15 @@ def test_shortest_path_error_cases():
         avg_shortest_path(UndirectedGraph(3, [(0, 1), (1, 2)]), sample_sources=0)
 
 
+def test_shortest_path_rejects_a_bool_sample_count():
+    # A bool is an int subclass; True must not read as one sampled source.
+    path4 = UndirectedGraph(4, [(0, 1), (1, 2), (2, 3)])
+    for flag in (True, False):
+        with pytest.raises(ParameterError, match="sample_sources must be ALL or a positive int"):
+            avg_shortest_path(path4, flag)
+    assert abs(avg_shortest_path(path4, 4) - 5 / 3) < 1e-15
+
+
 def test_disconnected_graph_names_first_source_and_its_reach():
     graph = UndirectedGraph(5, [(0, 1), (2, 3), (3, 4)])
     with pytest.raises(ConnectivityError) as excinfo:
